@@ -953,7 +953,7 @@ TranslationContext::processBlock(std::vector<GuestInst> &block)
                 _unit->isLoopHead = true;
             int idx = addExit(BlockExit{ BlockExit::Kind::Branch,
                                          mi.target, 0, Operand(),
-                                         nullptr });
+                                         nullptr, {} });
             MachInst jcc = MachInst::jcc(mi.cond, 0);
             emitExitInst(jcc, idx);
             continue;
@@ -971,7 +971,7 @@ TranslationContext::processBlock(std::vector<GuestInst> &block)
     // cap): exit to the next guest address.
     Addr next = block.back().addr + block.back().mi.size;
     int idx = addExit(BlockExit{ BlockExit::Kind::Branch, next, 0,
-                                 Operand(), nullptr });
+                                 Operand(), nullptr, {} });
     emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)), idx);
     _done = true;
 }
@@ -1003,7 +1003,7 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
         }
         int idx = addExit(BlockExit{ BlockExit::Kind::Branch,
                                      mi.target, 0, Operand(),
-                                     nullptr });
+                                     nullptr, {} });
         emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)),
                      idx);
         _done = true;
@@ -1020,7 +1020,7 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
         int idx = addExit(BlockExit{ BlockExit::Kind::Call,
                                      mi.target,
                                      gi.addr + mi.size, Operand(),
-                                     nullptr });
+                                     nullptr, {} });
         emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)),
                      idx);
         _done = true;
@@ -1056,7 +1056,7 @@ TranslationContext::handleTerminator(const GuestInst &gi, bool)
 
       case Op::Halt: {
         int idx = addExit(BlockExit{ BlockExit::Kind::Halt, 0, 0,
-                                     Operand(), nullptr });
+                                     Operand(), nullptr, {} });
         emitExitInst(MachInst::vmExit(static_cast<uint32_t>(idx)),
                      idx);
         _done = true;
@@ -1095,7 +1095,7 @@ TranslationContext::run(TranslateError &err)
             }
             int idx = addExit(BlockExit{ BlockExit::Kind::Branch,
                                          _cur, 0, Operand(),
-                                         nullptr });
+                                         nullptr, {} });
             emitExitInst(
                 MachInst::vmExit(static_cast<uint32_t>(idx)), idx);
             break;

@@ -77,6 +77,14 @@ enum Perm : uint8_t
 /**
  * Byte-addressable little-endian guest memory.
  *
+ * The backing store is one fixed anonymous mapping of kMemEnd bytes
+ * followed by an inaccessible guard page: the kernel zero-fills it
+ * lazily, so a fresh address space costs only the pages the guest
+ * touches, and a host-side access that runs past the guest address
+ * space faults instead of reading a neighbouring mapping. Without
+ * mmap the store is a plain calloc block. It never moves, so a
+ * Memory is neither copyable nor movable.
+ *
  * Accesses outside the address space or violating region permissions
  * raise a @c MemFault, which the interpreter converts into a guest
  * crash — the event brute-force attacks (Section 6, Algorithm 1)
@@ -94,6 +102,10 @@ class Memory
     };
 
     Memory();
+    ~Memory();
+
+    Memory(const Memory &) = delete;
+    Memory &operator=(const Memory &) = delete;
 
     /** Define or redefine the permissions of [base, base+size). */
     void setRegion(Addr base, uint32_t size, Perm perm,
@@ -107,7 +119,7 @@ class Memory
      */
     Perm permAt(Addr addr) const
     {
-        if (addr >= _bytes.size())
+        if (addr >= layout::kMemEnd)
             return PermNone;
         size_t lo = 0, hi = _spans.size() - 1;
         while (lo < hi) {
@@ -285,20 +297,26 @@ class Memory
      * crashed worker process respawns: its data/heap/stack image is
      * wiped before the fat binary is reloaded, so the new generation
      * starts from a pristine address space.
+     *
+     * Costs what was dirtied, not what is covered: on Linux a range
+     * spanning at least kDiscardPages whole pages hands its
+     * page-aligned interior back to the kernel (MADV_DONTNEED, which
+     * makes private anonymous pages read back as zero) and memsets
+     * only the partial head and tail pages.
      */
     void zeroRange(Addr base, uint32_t len);
 
     /** Direct pointer into the backing store (attacker disclosures). */
-    const uint8_t *data() const { return _bytes.data(); }
+    const uint8_t *data() const { return _bytes; }
     /**
      * Mutable backing-store base for the trace JIT, whose compiled
      * code addresses guest memory as [base + addr] after passing the
-     * same span-hint window checks the interpreter uses. The vector
-     * never reallocates after load (the address space is fixed at
-     * construction), so the pointer stays valid across a run.
+     * same span-hint window checks the interpreter uses. The mapping
+     * is fixed at construction, so the pointer stays valid for the
+     * object's lifetime.
      */
-    uint8_t *jitBase() { return _bytes.data(); }
-    uint32_t size() const { return static_cast<uint32_t>(_bytes.size()); }
+    uint8_t *jitBase() { return _bytes; }
+    uint32_t size() const { return layout::kMemEnd; }
 
     /**
      * Monotonic stamp of the permission-span layout, bumped on every
@@ -341,13 +359,13 @@ class Memory
         }
         h.lo = lo == 0 ? 0 : _spans[lo - 1].end;
         Addr span_last = _spans[lo].end - 1;
-        Addr bound_last = static_cast<Addr>(_bytes.size()) - 4;
+        Addr bound_last = layout::kMemEnd - 4;
         h.hi = span_last < bound_last ? span_last : bound_last;
     }
 
     bool checkOk(Addr addr, unsigned len, Perm needed) const noexcept
     {
-        if (static_cast<uint64_t>(addr) + len > _bytes.size())
+        if (static_cast<uint64_t>(addr) + len > layout::kMemEnd)
             return false;
         return (permAt(addr) & needed) == needed;
     }
@@ -376,7 +394,15 @@ class Memory
     /** Recompute _spans from _regions (definition order wins). */
     void rebuildSpans();
 
-    std::vector<uint8_t> _bytes;
+    /**
+     * Minimum number of whole pages a zeroRange must cover before
+     * discarding them beats memset: below this the madvise syscall
+     * and the refaults that follow cost more than the stores.
+     */
+    static constexpr size_t kDiscardPages = 16;
+
+    uint8_t *_bytes = nullptr; ///< kMemEnd bytes (+ guard page if mapped)
+    size_t _mapBytes = 0;      ///< mapping length; 0 = calloc fallback
     std::vector<Region> _regions;
     std::vector<Span> _spans;
     uint64_t _layoutEpoch = 0; ///< incremented by rebuildSpans()

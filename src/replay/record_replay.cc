@@ -13,15 +13,6 @@ namespace
 {
 
 void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
-
-void
 writeRequest(ByteWriter &w, const Request &r)
 {
     w.u64(r.id);

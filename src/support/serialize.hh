@@ -163,7 +163,8 @@ class ByteReader
     bytes(uint8_t *out, size_t n)
     {
         need(n);
-        std::memcpy(out, _p + _off, n);
+        if (n != 0) // out may be null for an empty buffer
+            std::memcpy(out, _p + _off, n);
         _off += n;
     }
 

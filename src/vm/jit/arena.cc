@@ -1,5 +1,7 @@
 #include "arena.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -23,11 +25,11 @@ bool
 ExecArena::init(size_t bytes)
 {
 #if HIPSTR_JIT_HAVE_MMAP
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    _cap = (bytes + page - 1) & ~(page - 1);
-    if (_cap < page)
-        _cap = page;
-    void *p = ::mmap(nullptr, _cap, PROT_READ | PROT_WRITE,
+    _page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    _cap = (bytes + _page - 1) & ~(_page - 1);
+    if (_cap < _page)
+        _cap = _page;
+    void *p = ::mmap(nullptr, _cap, PROT_READ | PROT_EXEC,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) {
         _cap = 0;
@@ -46,27 +48,24 @@ ExecArena::init(size_t bytes)
 void
 ExecArena::beginWrite()
 {
-#if HIPSTR_JIT_HAVE_MMAP
     hipstr_assert(_base != nullptr);
-    if (_writable)
-        return;
-    if (::mprotect(_base, _cap, PROT_READ | PROT_WRITE) != 0)
-        hipstr_fatal("jit arena: mprotect(RW) failed");
     _writable = true;
-#endif
 }
 
 void
 ExecArena::endWrite()
 {
-#if HIPSTR_JIT_HAVE_MMAP
     hipstr_assert(_base != nullptr);
     if (!_writable)
         return;
-    if (::mprotect(_base, _cap, PROT_READ | PROT_EXEC) != 0)
+#if HIPSTR_JIT_HAVE_MMAP
+    if (_rwHi > _rwLo &&
+        ::mprotect(_base + _rwLo, _rwHi - _rwLo,
+                   PROT_READ | PROT_EXEC) != 0)
         hipstr_fatal("jit arena: mprotect(RX) failed");
-    _writable = false;
 #endif
+    _rwLo = _rwHi = 0;
+    _writable = false;
 }
 
 uint8_t *
@@ -77,6 +76,23 @@ ExecArena::alloc(size_t bytes)
     if (aligned + bytes > _cap)
         return nullptr;
     _used = aligned + bytes;
+#if HIPSTR_JIT_HAVE_MMAP
+    // Flip just the pages this body spans; the window grows to their
+    // union if one bracket allocates more than once.
+    const size_t lo = aligned & ~(_page - 1);
+    const size_t hi = (_used + _page - 1) & ~(_page - 1);
+    if (hi > lo) {
+        if (::mprotect(_base + lo, hi - lo, PROT_READ | PROT_WRITE) != 0)
+            hipstr_fatal("jit arena: mprotect(RW) failed");
+        if (_rwHi == _rwLo) {
+            _rwLo = lo;
+            _rwHi = hi;
+        } else {
+            _rwLo = std::min(_rwLo, lo);
+            _rwHi = std::max(_rwHi, hi);
+        }
+    }
+#endif
     return _base + aligned;
 }
 

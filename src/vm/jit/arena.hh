@@ -2,13 +2,18 @@
  * @file
  * W^X executable-memory arena for the trace JIT.
  *
- * The arena is a single anonymous mapping that is *either* writable
- * *or* executable, never both: compilation happens inside a
- * beginWrite()/endWrite() bracket that flips the whole mapping to
- * RW and back to RX. Both flips happen only at safe points — trace
+ * The arena is a single anonymous mapping, RX from the moment it is
+ * mapped, and W^X holds page by page: no page is ever writable and
+ * executable at once. Compilation happens inside a
+ * beginWrite()/endWrite() bracket; inside it, alloc() flips only the
+ * pages the new body spans to RW, and endWrite() returns exactly that
+ * window to RX. Opening the bracket and reset() make no syscall, so a
+ * compile costs two mprotect calls over a page or two, whatever the
+ * arena's size. The flips happen only at safe points — trace
  * compilation runs from the dispatch loop or a formation site, never
  * under a live JIT frame — so no thread ever executes a page that is
- * currently writable.
+ * currently writable, even when a new body shares a page with an
+ * older one.
  *
  * Reclamation is generational, mirroring the code cache's flush
  * counter: the arena is bump-allocated, and when it fills up reset()
@@ -37,34 +42,39 @@ class ExecArena
     ExecArena &operator=(const ExecArena &) = delete;
 
     /**
-     * Map @p bytes of RW memory (rounded up to whole pages). Returns
+     * Map @p bytes of RX memory (rounded up to whole pages). Returns
      * false when the platform cannot provide executable mappings; the
-     * JIT then stays disabled. The fresh arena is left in the
-     * *writable* state — call endWrite() after the first compile.
+     * JIT then stays disabled. The fresh arena is left inside an open
+     * write bracket — call endWrite() after the first compile.
      */
     bool init(size_t bytes);
 
     bool valid() const { return _base != nullptr; }
+    const uint8_t *base() const { return _base; }
     size_t capacity() const { return _cap; }
     size_t used() const { return _used; }
     uint64_t generation() const { return _gen; }
 
-    /** Flip the mapping RX -> RW. Safe points only. */
+    /** Open a write bracket (no syscall). Safe points only. */
     void beginWrite();
-    /** Flip the mapping RW -> RX (code becomes callable). */
+    /**
+     * Close the bracket: return the pages alloc() made writable to
+     * RX (code becomes callable).
+     */
     void endWrite();
 
     /**
      * Bump-allocate @p bytes (16-byte aligned) for code about to be
-     * copied in; requires the writable state. Returns nullptr when
-     * the arena is full — the caller resets and retries.
+     * copied in, flipping the pages it spans to RW; requires an open
+     * bracket. Returns nullptr when the arena is full — the caller
+     * resets and retries.
      */
     uint8_t *alloc(size_t bytes);
 
     /**
      * Discard every compiled trace: bump the generation and rewind
-     * the bump pointer. Requires the writable state and a safe point
-     * (no JIT frame live anywhere in this VM).
+     * the bump pointer (no syscall). Requires an open bracket and a
+     * safe point (no JIT frame live anywhere in this VM).
      */
     void reset();
 
@@ -72,8 +82,12 @@ class ExecArena
     uint8_t *_base = nullptr;
     size_t _cap = 0;
     size_t _used = 0;
+    size_t _page = 0;
     uint64_t _gen = 1; ///< 0 is the never-compiled stamp on traces
-    bool _writable = false;
+    bool _writable = false; ///< inside a beginWrite/endWrite bracket
+    /** Page-aligned [_rwLo, _rwHi) flipped RW in this bracket. */
+    size_t _rwLo = 0;
+    size_t _rwHi = 0;
 };
 
 } // namespace hipstr::jit

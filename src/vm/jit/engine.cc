@@ -283,7 +283,7 @@ TraceJit::ensureCompiled(PsrVm &vm, SuperTrace *tr)
 
     // Safe point by construction: compilation happens only on trace
     // entry from the dispatch loop, never under a live JIT frame, so
-    // the whole-arena W^X flip cannot pull code out from under an
+    // the W^X page flips cannot pull code out from under an
     // executing trace.
     if (!_arena.valid()) {
         if (!_arena.init(vm.config().jitArenaBytes)) {

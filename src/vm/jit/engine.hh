@@ -116,7 +116,8 @@ class TraceJit
      */
     static bool hostSupported(const char **reason);
 
-    /** Arena occupancy, for tests. @{ */
+    /** Arena placement and occupancy, for tests. @{ */
+    const uint8_t *arenaBase() const { return _arena.base(); }
     size_t arenaUsed() const { return _arena.used(); }
     size_t arenaCapacity() const { return _arena.capacity(); }
     uint64_t arenaGeneration() const { return _arena.generation(); }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "isa/codec.hh"
 #include "isa/guest_os.hh"
 #include "isa/interp.hh"
@@ -268,6 +271,81 @@ TEST(Memory, PermissionLayering)
     EXPECT_THROW(mem.write32(0x1880, 1), Memory::Fault);
     EXPECT_NO_THROW(mem.write32(0x1400, 1));
 }
+
+/** Offset of the first byte in [p, p+len) that is not @p v, or -1. */
+long
+firstNot(const uint8_t *p, size_t len, uint8_t v)
+{
+    for (size_t i = 0; i < len; ++i)
+        if (p[i] != v)
+            return static_cast<long>(i);
+    return -1;
+}
+
+// zeroRange wipes exactly [base, base+len): on the discard path (many
+// whole pages, unaligned ends) and on the memset path (a few pages,
+// within one page, up to the address-space end), the bytes around the
+// range keep their contents and the store never moves.
+TEST(Memory, ZeroRangeWipesExactlyTheRange)
+{
+    Memory mem;
+    const uint8_t *const data = mem.data();
+    uint8_t *const jit_base = mem.jitBase();
+    ASSERT_EQ(firstNot(data, layout::kMemEnd, 0), -1)
+        << "fresh memory must read as zero";
+
+    struct Range
+    {
+        Addr base;
+        uint32_t len;
+    };
+    const std::vector<Range> ranges = {
+        { layout::kDataBase + 0x123,
+          layout::kStackTop - layout::kDataBase - 0x123 - 0x77 },
+        { layout::kHeapBase + 0x10, 3 * 4096 },
+        { layout::kStackLimit + 0x40, 0x100 },
+        { layout::kDataBase, 64 * 4096 },
+        { layout::kMemEnd - 40 * 4096 - 5, 40 * 4096 + 5 },
+        { layout::kGlobalsBase + 1, 0 },
+    };
+    constexpr uint32_t kMargin = 2 * 4096;
+    for (const Range &r : ranges) {
+        const Addr lo = r.base > kMargin ? r.base - kMargin : 0;
+        const Addr hi = std::min<Addr>(r.base + r.len + kMargin,
+                                       layout::kMemEnd);
+        std::memset(jit_base + lo, 0xa5, hi - lo);
+        mem.zeroRange(r.base, r.len);
+        EXPECT_EQ(mem.data(), data);
+        EXPECT_EQ(mem.jitBase(), jit_base);
+        EXPECT_EQ(firstNot(data + lo, r.base - lo, 0xa5), -1)
+            << "bytes below 0x" << std::hex << r.base << " clobbered";
+        EXPECT_EQ(firstNot(data + r.base, r.len, 0), -1)
+            << "range at 0x" << std::hex << r.base << " not zeroed";
+        EXPECT_EQ(firstNot(data + r.base + r.len, hi - r.base - r.len,
+                           0xa5),
+                  -1)
+            << "bytes above 0x" << std::hex << r.base + r.len
+            << " clobbered";
+        // Wiped pages are writable again and read back what is stored.
+        if (r.len >= 4) {
+            mem.rawWrite32(r.base, 0x01020304);
+            EXPECT_EQ(mem.rawRead32(r.base), 0x01020304u);
+        }
+        std::memset(jit_base + lo, 0, hi - lo);
+    }
+}
+
+#if defined(__linux__)
+// A host-side access one byte past the guest address space lands on
+// the guard page and faults, instead of silently reading whatever
+// mapping happens to follow the backing store.
+TEST(MemoryDeathTest, AccessPastEndHitsGuardPage)
+{
+    Memory mem;
+    const volatile uint8_t *p = mem.data();
+    EXPECT_DEATH((void)p[layout::kMemEnd], "");
+}
+#endif
 
 TEST(GuestOs, WriteBufAndChecksum)
 {

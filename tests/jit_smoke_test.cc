@@ -5,15 +5,21 @@
  * the fig9 measurement depends on (hot execution actually runs in
  * compiled code, with zero bailouts), side-exit equivalence against
  * the threaded trace interpreter, the tiny-arena eviction storm
- * (generational reclaim plus lazy recompilation), and the W^X
- * executable-arena round trip. On hosts where the JIT cannot run at
+ * (generational reclaim plus lazy recompilation), the W^X
+ * executable-arena round trip, and the page-level W^X invariant (on
+ * Linux, read back from /proc/self/maps). On hosts where the JIT cannot run at
  * all (non-x86-64, sanitizer builds) the execution tests skip — the
  * differential suite still covers the interpreter there.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "binary/loader.hh"
 #include "compiler/compile.hh"
@@ -23,6 +29,10 @@
 #include "vm/jit/engine.hh"
 #include "vm/psr_vm.hh"
 #include "workloads/workloads.hh"
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 namespace hipstr
 {
@@ -49,9 +59,15 @@ struct SmokeRun
     uint64_t outputChecksum = 0;
 };
 
+/**
+ * Run hmmer on the Cisc VM for @p budget guest instructions in
+ * @p slice-sized run() calls, calling @p each_slice after every call
+ * (compile brackets are always closed between run() calls).
+ */
 SmokeRun
 steadyRun(PsrConfig::JitMode mode, size_t arena_bytes,
-          uint64_t budget)
+          uint64_t budget, uint64_t slice = 100'000,
+          const std::function<void(PsrVm &)> &each_slice = {})
 {
     FatBinary bin = compileModule(buildHmmer(WorkloadConfig{}));
     Memory mem;
@@ -68,8 +84,10 @@ steadyRun(PsrConfig::JitMode mode, size_t arena_bytes,
     uint64_t executed = 0;
     while (executed < budget) {
         uint64_t before = vm.stats.guestInsts;
-        VmRunResult r = vm.run(100'000);
+        VmRunResult r = vm.run(slice);
         executed += vm.stats.guestInsts - before;
+        if (each_slice)
+            each_slice(vm);
         if (r.reason != VmStop::StepLimit) {
             os.reset();
             vm.reset();
@@ -187,6 +205,159 @@ TEST(JitSmoke, ExecArenaWxRoundTrip)
     arena.endWrite();
     EXPECT_EQ(reinterpret_cast<int (*)()>(q)(), 42);
 }
+
+#if defined(__linux__)
+/** Protection of one /proc/self/maps entry, clipped to a range. */
+struct PageProt
+{
+    uintptr_t lo, hi;
+    bool w, x;
+};
+
+/**
+ * The mappings covering [base, base+len) as /proc/self/maps reports
+ * them, clipped to the range. Empty if procfs is unavailable.
+ */
+std::vector<PageProt>
+protections(const uint8_t *base, size_t len)
+{
+    std::vector<PageProt> out;
+    const uintptr_t lo = reinterpret_cast<uintptr_t>(base);
+    const uintptr_t hi = lo + len;
+    std::ifstream maps("/proc/self/maps");
+    std::string line;
+    while (std::getline(maps, line)) {
+        unsigned long long a = 0, b = 0;
+        char perms[5] = {};
+        if (std::sscanf(line.c_str(), "%llx-%llx %4s", &a, &b,
+                        perms) != 3)
+            continue;
+        if (b <= lo || a >= hi)
+            continue;
+        out.push_back(PageProt{std::max<uintptr_t>(a, lo),
+                               std::min<uintptr_t>(b, hi),
+                               perms[1] == 'w', perms[2] == 'x'});
+    }
+    return out;
+}
+
+/**
+ * Assert the page-level W^X state of [base, base+len): exactly the
+ * pages in [wlo, whi) (byte offsets) are RW, every other page is RX,
+ * and no page is both. The mappings must tile the whole range.
+ */
+void
+expectArenaPages(const uint8_t *base, size_t len, size_t wlo = 0,
+                 size_t whi = 0)
+{
+    std::vector<PageProt> prot = protections(base, len);
+    ASSERT_FALSE(prot.empty()) << "arena not found in /proc/self/maps";
+    const uintptr_t lo = reinterpret_cast<uintptr_t>(base);
+    uintptr_t covered = lo;
+    for (const PageProt &p : prot) {
+        EXPECT_EQ(p.lo, covered) << "hole in the arena mapping";
+        covered = p.hi;
+        EXPECT_FALSE(p.w && p.x) << "page both writable and executable";
+        const bool in_window = p.lo >= lo + wlo && p.hi <= lo + whi;
+        EXPECT_EQ(p.w, in_window)
+            << "arena offset " << (p.lo - lo) << "-" << (p.hi - lo)
+            << (p.w ? " writable outside" : " read-only inside")
+            << " the write window [" << wlo << ", " << whi << ")";
+    }
+    EXPECT_EQ(covered, lo + len);
+}
+
+bool
+procMapsReadable()
+{
+    return std::ifstream("/proc/self/maps").good();
+}
+
+TEST(JitSmoke, ExecArenaFlipsOnlyPagesBeingWritten)
+{
+    if (!jitHostOk() || !procMapsReadable())
+        GTEST_SKIP() << "needs the trace JIT and /proc/self/maps";
+    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+    jit::ExecArena arena;
+    ASSERT_TRUE(arena.init(4 * page));
+    // Mapped RX: the open bracket alone makes nothing writable.
+    expectArenaPages(arena.base(), arena.capacity());
+    arena.endWrite();
+
+    // Bodies of 1000 bytes: several share each page and some straddle
+    // a page boundary. Each body returns its own index.
+    constexpr size_t kBody = 1000;
+    std::vector<uint8_t *> bodies;
+    for (uint32_t i = 0;; ++i) {
+        jit::Emitter em;
+        em.movRI32(jit::RAX, i);
+        em.ret();
+        em.finalize();
+        arena.beginWrite();
+        expectArenaPages(arena.base(), arena.capacity());
+        const size_t before = arena.used();
+        uint8_t *p = arena.alloc(kBody);
+        if (p == nullptr) {
+            arena.endWrite();
+            break;
+        }
+        const size_t off = static_cast<size_t>(p - arena.base());
+        const size_t wlo = off & ~(page - 1);
+        const size_t whi = (off + kBody + page - 1) & ~(page - 1);
+        EXPECT_GE(off, before);
+        expectArenaPages(arena.base(), arena.capacity(), wlo, whi);
+        std::memcpy(p, em.code.data(), em.size());
+        arena.endWrite();
+        expectArenaPages(arena.base(), arena.capacity());
+        bodies.push_back(p);
+        // Every earlier body, including those sharing the page just
+        // written, still runs.
+        for (uint32_t j = 0; j < bodies.size(); ++j)
+            ASSERT_EQ(reinterpret_cast<uint32_t (*)()>(bodies[j])(), j);
+    }
+    EXPECT_GT(bodies.size(), 4u);
+
+    // Reclaim makes no page writable by itself.
+    arena.beginWrite();
+    arena.reset();
+    expectArenaPages(arena.base(), arena.capacity());
+    arena.endWrite();
+    expectArenaPages(arena.base(), arena.capacity());
+}
+
+TEST(JitSmoke, NoArenaPageWritableBetweenCompiles)
+{
+    if (!jitHostOk() || !procMapsReadable())
+        GTEST_SKIP() << "needs the trace JIT and /proc/self/maps";
+    // Short slices so the check runs after nearly every compile; the
+    // tiny arena keeps the eviction storm (reset + recompile) going.
+    for (size_t arena_bytes : {size_t(0), size_t(16 * 1024)}) {
+        uint64_t checks = 0;
+        auto sealed = [&](PsrVm &vm) {
+            const jit::TraceJit &eng = vm.jitEngine();
+            if (eng.arenaBase() == nullptr)
+                return;
+            expectArenaPages(eng.arenaBase(), eng.arenaCapacity());
+            ++checks;
+        };
+        SmokeRun on = steadyRun(PsrConfig::JitMode::On, arena_bytes,
+                                1'000'000, 5'000, sealed);
+        SmokeRun off = steadyRun(PsrConfig::JitMode::Off, arena_bytes,
+                                 1'000'000, 5'000);
+        EXPECT_GT(checks, 100u);
+        EXPECT_GT(on.jit.executions, 0u);
+        // Bodies are packed 16-byte aligned, so each compile after
+        // the first rewrites a page holding live code.
+        EXPECT_GE(on.jit.compiledTraces, 2u);
+        // Side exits taken in compiled code still match the
+        // interpreter's, trace for trace.
+        EXPECT_EQ(on.guestInsts, off.guestInsts);
+        EXPECT_EQ(on.traceFollows, off.traceFollows);
+        EXPECT_EQ(on.traceSideExits, off.traceSideExits);
+        EXPECT_EQ(on.outputChecksum, off.outputChecksum);
+    }
+}
+#endif // __linux__
 
 } // namespace
 } // namespace hipstr
