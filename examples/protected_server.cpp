@@ -69,7 +69,6 @@
 #include "attack/campaign.hh"
 #include "compiler/compile.hh"
 #include "fleet/fleet.hh"
-#include "replay/fleet_replay.hh"
 #include "replay/record_replay.hh"
 #include "server/protected_server.hh"
 #include "support/env.hh"

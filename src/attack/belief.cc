@@ -2,24 +2,12 @@
 
 #include <vector>
 
+#include "support/hash.hh"
+
 namespace hipstr
 {
 namespace attack
 {
-
-namespace
-{
-
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
-
-} // namespace
 
 BeliefState::BeliefState(uint32_t secretSpace, double migrationProb)
     : _space(secretSpace == 0 ? 1 : secretSpace),
@@ -182,7 +170,7 @@ BeliefState::mostExcludedWorker(uint32_t shard) const
 uint64_t
 BeliefState::signature() const
 {
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnvBasis;
     fold64(h, _space);
     for (const auto &kv : _targets) {
         const TargetBelief &b = kv.second;

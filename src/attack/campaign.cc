@@ -21,15 +21,6 @@ mix64(uint64_t v)
     return splitMix64(v);
 }
 
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
-
 } // namespace
 
 const char *

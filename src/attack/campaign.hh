@@ -45,6 +45,7 @@
 
 #include "attack/belief.hh"
 #include "server/request_stream.hh"
+#include "support/hash.hh"
 #include "support/random.hh"
 #include "telemetry/trace.hh"
 
@@ -264,7 +265,7 @@ class CampaignEngine
     std::map<uint64_t, ProbeMeta> _probes; ///< in-flight, by id
     std::vector<std::vector<ProbeEvent>> _buffered; ///< per shard
     CampaignReport _report;
-    uint64_t _sig = 0xcbf29ce484222325ull;
+    uint64_t _sig = kFnvBasis;
     /** Isomeron pair state: the second path of a pending guess. @{ */
     bool _pairPending = false;
     uint32_t _pairGuess = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "attack/campaign.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 
@@ -20,15 +21,6 @@ constexpr uint64_t kMaxFleetRounds = 10'000'000;
  *  keep round-exact percentiles even for backlogged open-loop runs
  *  (a 30k-request overload bench sees p99 in the thousands). */
 constexpr size_t kLatencyBins = 16384;
-
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
 
 /** Disposal markers folded into the run signature so event streams
  *  that differ only in kind cannot collide. */
@@ -95,7 +87,7 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
                                const FleetConfig &cfg)
     : _bin(bin), _cfg(cfg),
       _stream(cfg.seed, cfg.mix, cfg.costs),
-      _sig(0xcbf29ce484222325ull)
+      _sig(kFnvBasis)
 {
     hipstr_assert(cfg.shards > 0);
     hipstr_assert(cfg.sessions > 0);
@@ -419,7 +411,7 @@ ProtectedFleet::finishShardFold(unsigned k)
 uint64_t
 ProtectedFleet::roundSyncSignature() const
 {
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnvBasis;
     fold64(h, _roundNo);
     fold64(h, _nextId);
     fold64(h, _report.requestsServed);

@@ -64,35 +64,12 @@ constexpr size_t kNumFleetOutcomes = 3;
 const char *fleetOutcomeName(FleetOutcome o);
 
 /**
- * Observation/substitution seam for record/replay at the fleet level,
- * mirroring ServerTap: the balancer's request draws are the fleet's
- * only stream nondeterminism, and each fleet round ends with a sync
- * signature. A null tap leaves the loop untouched.
+ * The fleet's record/replay seam is the server's: the balancer's
+ * request draws are the fleet's only stream nondeterminism, and each
+ * fleet round ends with the fleet's sync signature. A null tap leaves
+ * the loop untouched.
  */
-class FleetTap
-{
-  public:
-    virtual ~FleetTap() = default;
-
-    /** Offer to supply request @p id instead of drawing it from the
-     *  fleet stream (a replayer answers from its journal). */
-    virtual bool supplyRequest(uint64_t id, Request &out)
-    {
-        (void)id;
-        (void)out;
-        return false;
-    }
-
-    /** A request was drawn from the live fleet stream. */
-    virtual void requestDrawn(const Request &r) { (void)r; }
-
-    /** A fleet round completed (1-based, like ServerTap). */
-    virtual void roundEnd(uint64_t round, uint64_t syncSig)
-    {
-        (void)round;
-        (void)syncSig;
-    }
-};
+using FleetTap = ServerTap;
 
 /** Fleet configuration. */
 struct FleetConfig

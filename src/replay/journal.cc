@@ -94,26 +94,6 @@ Journal::checkpointAtOrBefore(uint64_t round) const
     return best;
 }
 
-namespace
-{
-
-Request
-readRequest(ByteReader &r)
-{
-    Request req;
-    req.id = r.u64();
-    uint8_t kind = r.u8();
-    if (kind >= kNumRequestKinds)
-        throw ReplayError(ReplayErrc::Corrupt,
-                          "journal request has invalid kind");
-    req.kind = static_cast<RequestKind>(kind);
-    req.costInsts = r.u64();
-    req.retries = r.u32();
-    return req;
-}
-
-} // namespace
-
 Journal
 parseJournal(const std::vector<uint8_t> &bytes)
 {

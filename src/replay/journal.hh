@@ -1,13 +1,14 @@
 /**
  * @file
  * The record/replay journal: a versioned, length-prefixed binary log
- * of every nondeterministic input a protected-server run consumed —
- * request-stream draws, fault-plan firings, diversification coin
- * flips — framed per scheduler round with a sync signature at each
- * round boundary and full server checkpoints at a configurable
- * cadence. A journal plus the (FatBinary, ServerConfig) pair it was
- * recorded against is sufficient to re-drive the run bit-exactly,
- * from the start or from any checkpointed sync point.
+ * of every nondeterministic input a protected-server or fleet run
+ * consumed — request-stream draws, fault-plan firings,
+ * diversification coin flips — framed per scheduler round with a
+ * sync signature at each round boundary and, for a lone server, full
+ * server checkpoints at a configurable cadence. A journal plus the
+ * (FatBinary, ServerConfig or FleetConfig) pair it was recorded
+ * against is sufficient to re-drive the run bit-exactly, from the
+ * start or from any checkpointed sync point.
  *
  * Layout (all integers little-endian):
  *

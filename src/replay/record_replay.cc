@@ -1,7 +1,10 @@
 #include "record_replay.hh"
 
 #include <deque>
+#include <memory>
+#include <vector>
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -12,80 +15,32 @@ namespace replay
 namespace
 {
 
-void
-writeRequest(ByteWriter &w, const Request &r)
+uint64_t
+hashBytes(const ByteWriter &w)
 {
-    w.u64(r.id);
-    w.u8(static_cast<uint8_t>(r.kind));
-    w.u64(r.costInsts);
-    w.u32(r.retries);
+    uint64_t h = kFnvBasis;
+    foldBytes(h, w.data().data(), w.size());
+    return h;
+}
+
+/** Cores per CMP — the stride of the global core-id space. */
+unsigned
+coresPerShard(const ServerConfig &cfg)
+{
+    return cfg.cmp.riscCores + cfg.cmp.ciscCores;
+}
+
+/** Each shard's derived fault config, in shard order. */
+std::vector<FaultPlanConfig>
+shardFaults(const FleetConfig &cfg)
+{
+    std::vector<FaultPlanConfig> out;
+    for (unsigned k = 0; k < cfg.shards; ++k)
+        out.push_back(shardServerConfig(cfg, k).faults);
+    return out;
 }
 
 } // namespace
-
-// ---------------------------------------------------------------
-// Fault-plan decorators.
-// ---------------------------------------------------------------
-
-RecordingFaultPlan::RecordingFaultPlan(const FaultPlanConfig &cfg,
-                                       unsigned workers)
-    : FaultPlan(cfg), _faultLog(workers)
-{
-}
-
-QuantumFault
-RecordingFaultPlan::quantumFault(uint32_t pid, uint64_t serial) const
-{
-    QuantumFault f = FaultPlan::quantumFault(pid, serial);
-    if (f.kind != FaultKind::None && pid < _faultLog.size())
-        _faultLog[pid].push_back(FaultRec{ pid, serial, f });
-    return f;
-}
-
-uint32_t
-RecordingFaultPlan::coreOutageAt(unsigned coreId, IsaKind isa,
-                                 uint64_t round) const
-{
-    uint32_t len = FaultPlan::coreOutageAt(coreId, isa, round);
-    if (len != 0)
-        _outageLog.push_back(OutageRec{ coreId, isa, round, len });
-    return len;
-}
-
-void
-RecordingFaultPlan::drain(std::vector<FaultRec> &faults,
-                          std::vector<OutageRec> &outages) const
-{
-    faults.clear();
-    outages.clear();
-    for (auto &perPid : _faultLog) {
-        faults.insert(faults.end(), perPid.begin(), perPid.end());
-        perPid.clear();
-    }
-    outages.swap(_outageLog);
-}
-
-ReplayFaultPlan::ReplayFaultPlan(const FaultPlanConfig &cfg,
-                                 const Journal &j)
-    : FaultPlan(cfg), _journal(j)
-{
-}
-
-QuantumFault
-ReplayFaultPlan::quantumFault(uint32_t pid, uint64_t serial) const
-{
-    auto it = _journal.faults.find({ pid, serial });
-    return it == _journal.faults.end() ? QuantumFault{} : it->second;
-}
-
-uint32_t
-ReplayFaultPlan::coreOutageAt(unsigned coreId, IsaKind isa,
-                              uint64_t round) const
-{
-    (void)isa;
-    auto it = _journal.outages.find({ coreId, round });
-    return it == _journal.outages.end() ? 0 : it->second;
-}
 
 // ---------------------------------------------------------------
 // Config hashing.
@@ -157,32 +112,249 @@ serverConfigHash(const ServerConfig &cfg)
     // Shard mode changes the serve loop (no stream draws, external
     // intake) even though the callbacks themselves are output-only.
     w.boolean(cfg.shardMode);
-
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t b : w.data()) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return hashBytes(w);
 }
+
+uint64_t
+fleetConfigHash(const FleetConfig &cfg)
+{
+    ByteWriter w;
+    w.u32(cfg.shards);
+    w.u64(cfg.requestCount);
+    w.u64(cfg.seed);
+    w.f64(cfg.mix.dynamicFrac);
+    w.f64(cfg.mix.postFrac);
+    w.f64(cfg.mix.malformedFrac);
+    w.f64(cfg.mix.attackFrac);
+    w.u64(cfg.costs.staticInsts);
+    w.u64(cfg.costs.dynamicInsts);
+    w.u64(cfg.costs.postInsts);
+    w.u64(cfg.costs.malformedInsts);
+    w.u64(cfg.costs.attackInsts);
+    w.u64(cfg.sessions);
+    w.u32(cfg.vnodesPerShard);
+    w.u64(static_cast<uint64_t>(cfg.queueCap));
+    w.u64(cfg.sloRounds);
+    w.u32(cfg.batchSize);
+    w.boolean(cfg.workStealing);
+    // Every derived shard config, k order: two fleets hash equal iff
+    // every shard would behave identically. shardPlanOverrides do not
+    // feed shardServerConfig's hashed fields (faultPlanOverride is an
+    // excluded observer), so a recording config and a replay config
+    // carrying different decorators still hash the same — by design.
+    for (unsigned k = 0; k < cfg.shards; ++k)
+        w.u64(serverConfigHash(shardServerConfig(cfg, k)));
+    return hashBytes(w);
+}
+
+namespace
+{
+
+// ---------------------------------------------------------------
+// Fault-plan decorators. Both take the shard's (pidBase, coreBase)
+// so their journal keys are global ids.
+// ---------------------------------------------------------------
+
+/**
+ * FaultPlan decorator that answers from the real plan and logs every
+ * non-trivial answer. The per-pid fault log is written from
+ * concurrently running quanta, but each pid runs at most one quantum
+ * per round on one host thread, so distinct pids never race and one
+ * pid's entries are ordered by its quantum serial. Outage queries
+ * happen in the scheduler's sequential supervision step.
+ */
+class RecordingFaultPlan : public FaultPlan
+{
+  public:
+    RecordingFaultPlan(const FaultPlanConfig &cfg, unsigned workers,
+                       uint32_t pidBase, uint32_t coreBase)
+        : FaultPlan(cfg), _faultLog(workers), _pidBase(pidBase),
+          _coreBase(coreBase)
+    {
+    }
+
+    QuantumFault
+    quantumFault(uint32_t pid, uint64_t serial) const override
+    {
+        QuantumFault f = FaultPlan::quantumFault(pid, serial);
+        if (f.kind != FaultKind::None && pid < _faultLog.size()) {
+            ByteWriter w;
+            w.u32(_pidBase + pid);
+            w.u64(serial);
+            w.u8(static_cast<uint8_t>(f.kind));
+            w.u64(f.payload);
+            _faultLog[pid].push_back(std::move(w));
+        }
+        return f;
+    }
+
+    uint32_t
+    coreOutageAt(unsigned coreId, IsaKind isa,
+                 uint64_t round) const override
+    {
+        uint32_t len = FaultPlan::coreOutageAt(coreId, isa, round);
+        if (len != 0) {
+            ByteWriter w;
+            w.u32(_coreBase + coreId);
+            w.u8(static_cast<uint8_t>(isa));
+            w.u64(round);
+            w.u32(len);
+            _outageLog.push_back(std::move(w));
+        }
+        return len;
+    }
+
+    /** Journal everything logged since the last flush: faults in pid
+     *  order, then outages in firing order. */
+    void
+    flush(JournalWriter &out) const
+    {
+        for (auto &perPid : _faultLog) {
+            for (const ByteWriter &w : perPid)
+                out.record(RecordTag::Fault, w);
+            perPid.clear();
+        }
+        for (const ByteWriter &w : _outageLog)
+            out.record(RecordTag::Outage, w);
+        _outageLog.clear();
+    }
+
+  private:
+    /** Indexed by pid; mutable because the query API is const. */
+    mutable std::vector<std::vector<ByteWriter>> _faultLog;
+    mutable std::vector<ByteWriter> _outageLog;
+    uint32_t _pidBase;
+    uint32_t _coreBase;
+};
+
+/**
+ * FaultPlan that answers quantum faults and core outages from a
+ * parsed journal; wedge lengths (a pure function of the payload)
+ * delegate to the real plan's derivation.
+ */
+class ReplayFaultPlan : public FaultPlan
+{
+  public:
+    ReplayFaultPlan(const FaultPlanConfig &cfg, const Journal &j,
+                    uint32_t pidBase, uint32_t coreBase)
+        : FaultPlan(cfg), _journal(j), _pidBase(pidBase),
+          _coreBase(coreBase)
+    {
+    }
+
+    QuantumFault
+    quantumFault(uint32_t pid, uint64_t serial) const override
+    {
+        auto it = _journal.faults.find({ _pidBase + pid, serial });
+        return it == _journal.faults.end() ? QuantumFault{}
+                                           : it->second;
+    }
+
+    uint32_t
+    coreOutageAt(unsigned coreId, IsaKind isa,
+                 uint64_t round) const override
+    {
+        (void)isa;
+        auto it = _journal.outages.find({ _coreBase + coreId, round });
+        return it == _journal.outages.end() ? 0 : it->second;
+    }
+
+  private:
+    const Journal &_journal;
+    uint32_t _pidBase;
+    uint32_t _coreBase;
+};
+
+/**
+ * What the recorder and the replayer share: the shards they span and
+ * one fault-plan decorator per shard whose faults are enabled. Shard
+ * k's workers are global pids k * workers + i; a lone server is the
+ * single shard 0.
+ */
+template <class Plan>
+class ShardTap : public ServerTap
+{
+  public:
+    /** Every shard's plan, shard order; null where faults are off. */
+    std::vector<const FaultPlan *>
+    plans() const
+    {
+        std::vector<const FaultPlan *> out;
+        for (const auto &p : _plans)
+            out.push_back(p.get());
+        return out;
+    }
+
+    /** Link shard @p k to the server that runs it and wire its
+     *  workers' coin capture or feed. */
+    void
+    attach(unsigned k, ProtectedServer &srv)
+    {
+        _shards[k] = &srv;
+        for (unsigned i = 0; i < _workers; ++i)
+            wire(srv.worker(i).runtime(), size_t(k) * _workers + i);
+    }
+
+  protected:
+    /** @p faults: each shard's fault config, shard order. */
+    template <class... PlanArgs>
+    ShardTap(const std::vector<FaultPlanConfig> &faults,
+             unsigned workers, unsigned cores, const PlanArgs &...args)
+        : _shards(faults.size(), nullptr), _workers(workers)
+    {
+        for (size_t k = 0; k < faults.size(); ++k) {
+            _plans.push_back(
+                faults[k].enabled
+                    ? std::make_unique<Plan>(faults[k], args...,
+                                             uint32_t(k * workers),
+                                             uint32_t(k * cores))
+                    : nullptr);
+        }
+    }
+
+    /** Point global worker @p gpid's runtime at its coin stream. */
+    virtual void wire(HipstrRuntime &rt, size_t gpid) = 0;
+
+    /** The runtime of global worker @p gpid (its shard attached). */
+    HipstrRuntime &
+    runtime(size_t gpid)
+    {
+        return _shards[gpid / _workers]
+            ->worker(gpid % _workers)
+            .runtime();
+    }
+
+    size_t workerCount() const { return _shards.size() * _workers; }
+
+    std::vector<std::unique_ptr<Plan>> _plans;
+    std::vector<ProtectedServer *> _shards;
+    unsigned _workers;
+};
 
 // ---------------------------------------------------------------
 // Recording.
 // ---------------------------------------------------------------
 
-namespace
-{
-
-/** The recorder tap: buffers one round's draws and flushes every
- *  journaled stream at the round boundary, in a fixed order. */
-class Recorder : public ServerTap
+/**
+ * The recorder tap: buffers one round's draws and flushes every
+ * journaled stream at the round boundary in a fixed order — draws,
+ * then each shard's fault firings in shard order, then every
+ * worker's coins in global-pid order, then the Sync record and, for
+ * a lone server at the checkpoint cadence, a Checkpoint record.
+ */
+class Recorder : public ShardTap<RecordingFaultPlan>
 {
   public:
-    Recorder(JournalWriter &out, const RecordingFaultPlan *plan,
-             unsigned workers, uint64_t checkpointEvery)
-        : coinLogs(workers), _out(out), _plan(plan),
+    /** @p checkpointEvery: 0, or — one shard only — the cadence. */
+    Recorder(const std::string &path, uint64_t configHash,
+             const std::vector<FaultPlanConfig> &faults,
+             unsigned workers, unsigned cores,
+             uint64_t checkpointEvery)
+        : ShardTap(faults, workers, cores, workers),
+          _out(path, configHash), _coinLogs(workerCount()),
           _every(checkpointEvery)
     {
+        hipstr_assert(_every == 0 || faults.size() == 1);
     }
 
     void
@@ -201,35 +373,18 @@ class Recorder : public ServerTap
             _out.record(RecordTag::Request, w);
         }
         _draws.clear();
-        if (_plan != nullptr) {
-            std::vector<RecordingFaultPlan::FaultRec> fs;
-            std::vector<RecordingFaultPlan::OutageRec> os;
-            _plan->drain(fs, os);
-            for (const auto &f : fs) {
-                ByteWriter w;
-                w.u32(f.pid);
-                w.u64(f.serial);
-                w.u8(static_cast<uint8_t>(f.fault.kind));
-                w.u64(f.fault.payload);
-                _out.record(RecordTag::Fault, w);
-            }
-            for (const auto &o : os) {
-                ByteWriter w;
-                w.u32(o.coreId);
-                w.u8(static_cast<uint8_t>(o.isa));
-                w.u64(o.round);
-                w.u32(o.len);
-                _out.record(RecordTag::Outage, w);
-            }
+        for (const auto &p : _plans) {
+            if (p != nullptr)
+                p->flush(_out);
         }
-        for (size_t pid = 0; pid < coinLogs.size(); ++pid) {
-            for (uint8_t flip : coinLogs[pid]) {
+        for (size_t g = 0; g < _coinLogs.size(); ++g) {
+            for (uint8_t flip : _coinLogs[g]) {
                 ByteWriter w;
-                w.u32(uint32_t(pid));
+                w.u32(uint32_t(g));
                 w.u8(flip);
                 _out.record(RecordTag::Coin, w);
             }
-            coinLogs[pid].clear();
+            _coinLogs[g].clear();
         }
         {
             ByteWriter w;
@@ -237,9 +392,9 @@ class Recorder : public ServerTap
             w.u64(sig);
             _out.record(RecordTag::Sync, w);
         }
-        if (server != nullptr && _every != 0 && round % _every == 0) {
+        if (_every != 0 && round % _every == 0) {
             ByteWriter cp;
-            server->saveCheckpoint(cp);
+            _shards[0]->saveCheckpoint(cp);
             ByteWriter w;
             w.u64(round);
             w.u32(uint32_t(cp.size()));
@@ -249,77 +404,72 @@ class Recorder : public ServerTap
         }
     }
 
-    /** Wired after construction (the server's config needs the tap
-     *  pointer before the server exists). */
-    ProtectedServer *server = nullptr;
-    /** Per-worker coin capture, wired into each runtime's coinLog. */
-    std::vector<std::vector<uint8_t>> coinLogs;
+    /** Close the journal with @p report's End record; returns the
+     *  journal's size in bytes. */
+    template <class Report>
+    uint64_t
+    finish(const Report &report)
+    {
+        ByteWriter end;
+        end.u64(report.rounds);
+        end.u64(report.signature);
+        end.u64(report.requestsServed);
+        _out.record(RecordTag::End, end);
+        _out.close();
+        return _out.bytesWritten();
+    }
+
     uint64_t requestsDrawn = 0;
     uint64_t checkpoints = 0;
 
   private:
-    JournalWriter &_out;
-    const RecordingFaultPlan *_plan;
+    void
+    wire(HipstrRuntime &rt, size_t gpid) override
+    {
+        rt.coinLog = &_coinLogs[gpid];
+    }
+
+    JournalWriter _out;
+    /** Per-worker coin capture, indexed by global pid. */
+    std::vector<std::vector<uint8_t>> _coinLogs;
     std::vector<Request> _draws;
     uint64_t _every;
 };
-
-} // namespace
-
-RecordResult
-recordRun(const FatBinary &bin, const ServerConfig &cfg,
-          const std::string &path, ThreadPool *pool,
-          const RecordOptions &opts)
-{
-    JournalWriter out(path, serverConfigHash(cfg));
-
-    ServerConfig rcfg = cfg;
-    std::unique_ptr<RecordingFaultPlan> rplan;
-    if (cfg.faults.enabled) {
-        rplan = std::make_unique<RecordingFaultPlan>(cfg.faults,
-                                                     cfg.workers);
-        rcfg.faultPlanOverride = rplan.get();
-    }
-    Recorder rec(out, rplan.get(), cfg.workers,
-                 opts.checkpointEveryRounds);
-    rcfg.tap = &rec;
-
-    ProtectedServer srv(bin, rcfg);
-    rec.server = &srv;
-    for (unsigned i = 0; i < cfg.workers; ++i)
-        srv.worker(i).runtime().coinLog = &rec.coinLogs[i];
-
-    ServerReport report = srv.run(pool);
-
-    ByteWriter end;
-    end.u64(report.rounds);
-    end.u64(report.signature);
-    end.u64(report.requestsServed);
-    out.record(RecordTag::End, end);
-    out.close();
-
-    RecordResult res;
-    res.report = report;
-    res.rounds = report.rounds;
-    res.journalBytes = out.bytesWritten();
-    res.requestsDrawn = rec.requestsDrawn;
-    res.checkpoints = rec.checkpoints;
-    return res;
-}
 
 // ---------------------------------------------------------------
 // Replay.
 // ---------------------------------------------------------------
 
-namespace
-{
-
-/** The replayer tap: requests answer from the journal; every round
- *  signature is compared and the first mismatch latched. */
-class Replayer : public ServerTap
+/**
+ * The replayer tap: requests answer from the journal and every
+ * round is verified. The first disagreement throws ReplayError
+ * straight out of roundEnd — safe in both drivers, because roundEnd
+ * runs last in a round, on the caller's thread, after every quantum
+ * of the round has joined.
+ */
+class Replayer : public ShardTap<ReplayFaultPlan>
 {
   public:
-    explicit Replayer(const Journal &j) : _j(j) {}
+    /** Each worker is fed the coin flips of every round after
+     *  @p start (0, or the restored checkpoint), in journal order.
+     *  Feeds are per worker, so concurrent quanta never share one. */
+    Replayer(const Journal &j, uint64_t start,
+             const std::vector<FaultPlanConfig> &faults,
+             unsigned workers, unsigned cores)
+        : ShardTap(faults, workers, cores, j), _j(j),
+          _feeds(workerCount())
+    {
+        for (const auto &kv : _j.rounds) {
+            if (kv.first <= start)
+                continue;
+            for (const auto &c : kv.second.coins) {
+                if (c.first >= _feeds.size())
+                    throw ReplayError(ReplayErrc::Corrupt,
+                                      "journal coin names bad worker");
+                _feeds[c.first].push_back(c.second);
+            }
+        }
+    }
 
     bool
     supplyRequest(uint64_t id, Request &req) override
@@ -331,119 +481,111 @@ class Replayer : public ServerTap
         return true;
     }
 
+    /** Coin starvation is checked first: it is the root cause of
+     *  any sync mismatch in the same round. */
     void
     roundEnd(uint64_t round, uint64_t sig) override
     {
-        if (diverged)
-            return;
+        for (size_t g = 0; g < _feeds.size(); ++g) {
+            if (runtime(g).coinStarved) {
+                throw ReplayError(
+                    ReplayErrc::Divergence,
+                    "worker " + std::to_string(g) +
+                        " drew more coins than were recorded");
+            }
+        }
         auto it = _j.rounds.find(round);
         if (it == _j.rounds.end()) {
-            diverged = true;
-            message = "replay reached round " +
-                std::to_string(round) +
-                " which the recording never ran";
-            return;
+            throw ReplayError(ReplayErrc::Divergence,
+                              "replay reached round " +
+                                  std::to_string(round) +
+                                  " which the recording never ran");
         }
         ++syncChecks;
         if (it->second.syncSig != sig) {
-            diverged = true;
-            message = "sync signature mismatch at round " +
-                std::to_string(round);
+            throw ReplayError(ReplayErrc::Divergence,
+                              "sync signature mismatch at round " +
+                                  std::to_string(round));
         }
     }
 
-    bool diverged = false;
-    std::string message;
+    /** The final report must match the recorded End record. */
+    template <class Report>
+    void
+    verifyEnd(const Report &report) const
+    {
+        if (report.rounds != _j.endRounds ||
+            report.requestsServed != _j.endServed ||
+            report.signature != _j.endSignature) {
+            throw ReplayError(ReplayErrc::Divergence,
+                              "replayed run's final report disagrees "
+                              "with the recording");
+        }
+    }
+
     uint64_t syncChecks = 0;
 
   private:
+    void
+    wire(HipstrRuntime &rt, size_t gpid) override
+    {
+        rt.coinFeed = &_feeds[gpid];
+    }
+
     const Journal &_j;
+    std::vector<std::deque<uint8_t>> _feeds;
 };
+
+/** Parse @p path and check it was recorded under @p configHash. */
+Journal
+openJournal(const std::string &path, uint64_t configHash,
+            const char *what)
+{
+    Journal j = parseJournal(path);
+    if (j.configHash != configHash) {
+        throw ReplayError(ReplayErrc::ConfigMismatch,
+                          std::string("journal was recorded under a "
+                                      "different ") +
+                              what + " configuration");
+    }
+    return j;
+}
 
 ReplayResult
 drive(const FatBinary &bin, const ServerConfig &cfg,
       const std::string &path, uint64_t fromRound, ThreadPool *pool)
 {
-    Journal j = parseJournal(path);
-    if (j.configHash != serverConfigHash(cfg)) {
-        throw ReplayError(ReplayErrc::ConfigMismatch,
-                          "journal was recorded under a different "
-                          "server configuration");
-    }
+    Journal j = openJournal(path, serverConfigHash(cfg), "server");
+    uint64_t start = j.checkpointAtOrBefore(fromRound);
+    Replayer tap(j, start, { cfg.faults }, cfg.workers,
+                 coresPerShard(cfg));
 
     ServerConfig rcfg = cfg;
     // The journal already carries every campaign rewrite; replaying
     // with a live engine attached would double-feed it observations.
     rcfg.campaign = nullptr;
-    std::unique_ptr<ReplayFaultPlan> rplan;
-    if (cfg.faults.enabled) {
-        rplan = std::make_unique<ReplayFaultPlan>(cfg.faults, j);
-        rcfg.faultPlanOverride = rplan.get();
-    }
-    Replayer tap(j);
     rcfg.tap = &tap;
+    if (cfg.faults.enabled)
+        rcfg.faultPlanOverride = tap.plans()[0];
 
     ProtectedServer srv(bin, rcfg);
+    tap.attach(0, srv);
     srv.beginRun();
-
-    uint64_t start = 0;
-    if (fromRound > 0) {
-        uint64_t cp = j.checkpointAtOrBefore(fromRound);
-        if (cp != 0) {
-            try {
-                ByteReader r(j.rounds.at(cp).checkpoint);
-                srv.loadCheckpoint(r);
-            } catch (const SerializeError &e) {
-                throw ReplayError(ReplayErrc::Corrupt,
-                                  std::string("checkpoint unusable: ") +
-                                      e.what());
-            }
-            start = cp;
+    if (start != 0) {
+        try {
+            ByteReader r(j.rounds.at(start).checkpoint);
+            srv.loadCheckpoint(r);
+        } catch (const SerializeError &e) {
+            throw ReplayError(ReplayErrc::Corrupt,
+                              std::string("checkpoint unusable: ") +
+                                  e.what());
         }
     }
 
-    // Feed each worker the coin flips of every round past the start
-    // point, in journal order. Feeds are per-worker, so concurrent
-    // quanta never share one.
-    std::vector<std::deque<uint8_t>> feeds(cfg.workers);
-    for (const auto &kv : j.rounds) {
-        if (kv.first <= start)
-            continue;
-        for (const auto &c : kv.second.coins) {
-            if (c.first >= cfg.workers)
-                throw ReplayError(ReplayErrc::Corrupt,
-                                  "journal coin names bad worker");
-            feeds[c.first].push_back(c.second);
-        }
+    while (srv.stepRound(pool)) {
     }
-    for (unsigned i = 0; i < cfg.workers; ++i)
-        srv.worker(i).runtime().coinFeed = &feeds[i];
-
-    auto check = [&]() {
-        if (tap.diverged)
-            throw ReplayError(ReplayErrc::Divergence, tap.message);
-        for (unsigned i = 0; i < cfg.workers; ++i) {
-            if (srv.worker(i).runtime().coinStarved) {
-                throw ReplayError(
-                    ReplayErrc::Divergence,
-                    "worker " + std::to_string(i) +
-                        " drew more coins than were recorded");
-            }
-        }
-    };
-
-    while (srv.stepRound(pool))
-        check();
-    check();
-
     ServerReport report = srv.finishRun();
-    if (report.rounds != j.endRounds ||
-        report.requestsServed != j.endServed ||
-        report.signature != j.endSignature) {
-        throw ReplayError(ReplayErrc::Divergence,
-                          "replayed run's final report disagrees "
-                          "with the recording");
-    }
+    tap.verifyEnd(report);
 
     ReplayResult res;
     res.report = report;
@@ -454,6 +596,31 @@ drive(const FatBinary &bin, const ServerConfig &cfg,
 }
 
 } // namespace
+
+RecordResult
+recordRun(const FatBinary &bin, const ServerConfig &cfg,
+          const std::string &path, ThreadPool *pool,
+          const RecordOptions &opts)
+{
+    Recorder rec(path, serverConfigHash(cfg), { cfg.faults },
+                 cfg.workers, coresPerShard(cfg),
+                 opts.checkpointEveryRounds);
+    ServerConfig rcfg = cfg;
+    rcfg.tap = &rec;
+    if (cfg.faults.enabled)
+        rcfg.faultPlanOverride = rec.plans()[0];
+
+    ProtectedServer srv(bin, rcfg);
+    rec.attach(0, srv);
+
+    RecordResult res;
+    res.report = srv.run(pool);
+    res.rounds = res.report.rounds;
+    res.journalBytes = rec.finish(res.report);
+    res.requestsDrawn = rec.requestsDrawn;
+    res.checkpoints = rec.checkpoints;
+    return res;
+}
 
 ReplayResult
 replayRun(const FatBinary &bin, const ServerConfig &cfg,
@@ -468,6 +635,58 @@ replayWindow(const FatBinary &bin, const ServerConfig &cfg,
              ThreadPool *pool)
 {
     return drive(bin, cfg, path, fromRound, pool);
+}
+
+FleetRecordResult
+recordFleetRun(const FatBinary &bin, const FleetConfig &cfg,
+               const std::string &path, ThreadPool *pool)
+{
+    // Decorate the exact derived fault config each shard runs
+    // (per-shard seed included) so the recorded run draws the same
+    // fault stream as an un-recorded one.
+    Recorder rec(path, fleetConfigHash(cfg), shardFaults(cfg),
+                 cfg.server.workers, coresPerShard(cfg.server), 0);
+    FleetConfig rcfg = cfg;
+    rcfg.tap = &rec;
+    if (cfg.server.faults.enabled)
+        rcfg.shardPlanOverrides = rec.plans();
+
+    ProtectedFleet fleet(bin, rcfg);
+    for (unsigned k = 0; k < cfg.shards; ++k)
+        rec.attach(k, fleet.shard(k));
+
+    FleetRecordResult res;
+    res.report = fleet.run(pool);
+    res.rounds = res.report.rounds;
+    res.journalBytes = rec.finish(res.report);
+    res.requestsDrawn = rec.requestsDrawn;
+    return res;
+}
+
+FleetReplayResult
+replayFleetRun(const FatBinary &bin, const FleetConfig &cfg,
+               const std::string &path, ThreadPool *pool)
+{
+    Journal j = openJournal(path, fleetConfigHash(cfg), "fleet");
+    Replayer tap(j, 0, shardFaults(cfg), cfg.server.workers,
+                 coresPerShard(cfg.server));
+
+    FleetConfig rcfg = cfg;
+    rcfg.campaign = nullptr; // as in the server replay
+    rcfg.tap = &tap;
+    if (cfg.server.faults.enabled)
+        rcfg.shardPlanOverrides = tap.plans();
+
+    ProtectedFleet fleet(bin, rcfg);
+    for (unsigned k = 0; k < cfg.shards; ++k)
+        tap.attach(k, fleet.shard(k));
+
+    FleetReplayResult res;
+    res.report = fleet.run(pool);
+    tap.verifyEnd(res.report);
+    res.rounds = res.report.rounds;
+    res.syncChecks = tap.syncChecks;
+    return res;
 }
 
 } // namespace replay

@@ -1,31 +1,40 @@
 /**
  * @file
- * Deterministic record/replay for the protected server.
+ * Deterministic record/replay for the protected server and the
+ * sharded fleet — one stack, where a lone server is the one-shard
+ * case.
  *
- * Recording wraps a normal ProtectedServer run: a ServerTap journals
- * every request drawn from the stream, a RecordingFaultPlan decorator
- * journals every fault-plan firing, and per-worker coin logs capture
- * each diversification coin flip — all without perturbing the run
- * (the RNG streams are drawn exactly as they would be un-recorded).
- * At each round boundary the recorder emits a sync signature, and at
- * a configurable cadence a full server checkpoint.
+ * Recording wraps a normal run: a ServerTap journals every request
+ * drawn from the stream (the server's own, or the fleet balancer's),
+ * a fault-plan decorator per shard journals every fault firing, and
+ * per-worker coin logs capture each diversification coin flip — all
+ * without perturbing the run (the RNG streams are drawn exactly as
+ * they would be un-recorded). Shard k's pids and core ids are
+ * journaled at global ids k * workersPerShard + pid and
+ * k * coresPerCmp + coreId, so the journal's flat key spaces stay
+ * collision-free; a lone server is shard 0 at base 0. At each round
+ * boundary the recorder emits the run's sync signature, and — for a
+ * lone server only — a full server checkpoint at a configurable
+ * cadence.
  *
- * Replaying re-drives a server built from the same (FatBinary,
- * ServerConfig): requests come from the journal, faults from a
- * journal-backed ReplayFaultPlan, coin flips from per-worker feeds.
- * Every round's sync signature is compared against the recording and
- * the first disagreement raises ReplayErrc::Divergence — so a replay
- * that completes is bit-exact, not approximately similar. Windowed
- * replay restores the nearest checkpoint at or before the requested
- * round and re-drives only the tail.
+ * Replaying re-drives a server (fleet) built from the same
+ * (FatBinary, ServerConfig / FleetConfig): requests come from the
+ * journal, faults from journal-backed plans, coin flips from
+ * per-worker feeds. Every round's sync signature is compared against
+ * the recording and the first disagreement (or a worker drawing more
+ * coins than were recorded) raises ReplayErrc::Divergence — so a
+ * replay that completes is bit-exact, not approximately similar.
+ * Windowed server replay restores the nearest checkpoint at or
+ * before the requested round and re-drives only the tail; a fleet
+ * replay always re-drives from round 0.
  */
 
 #ifndef HIPSTR_REPLAY_RECORD_REPLAY_HH
 #define HIPSTR_REPLAY_RECORD_REPLAY_HH
 
-#include <memory>
 #include <string>
 
+#include "fleet/fleet.hh"
 #include "replay/journal.hh"
 #include "server/protected_server.hh"
 
@@ -35,70 +44,6 @@ namespace replay
 {
 
 /**
- * FaultPlan decorator that answers from the real plan and journals
- * every non-trivial answer. The per-pid fault log is written from
- * concurrently running quanta, but each pid runs at most one quantum
- * per round on one host thread, so distinct pids never race and one
- * pid's entries are ordered by its quantum serial. Outage queries
- * happen in the scheduler's sequential supervision step.
- */
-class RecordingFaultPlan : public FaultPlan
-{
-  public:
-    explicit RecordingFaultPlan(const FaultPlanConfig &cfg,
-                                unsigned workers);
-
-    QuantumFault quantumFault(uint32_t pid,
-                              uint64_t serial) const override;
-    uint32_t coreOutageAt(unsigned coreId, IsaKind isa,
-                          uint64_t round) const override;
-
-    /** One journaled firing. @{ */
-    struct FaultRec
-    {
-        uint32_t pid;
-        uint64_t serial;
-        QuantumFault fault;
-    };
-    struct OutageRec
-    {
-        uint32_t coreId;
-        IsaKind isa;
-        uint64_t round;
-        uint32_t len;
-    };
-    /** @} */
-
-    /** Drain everything logged since the last drain (round end). */
-    void drain(std::vector<FaultRec> &faults,
-               std::vector<OutageRec> &outages) const;
-
-  private:
-    /** Indexed by pid; mutable because the query API is const. */
-    mutable std::vector<std::vector<FaultRec>> _faultLog;
-    mutable std::vector<OutageRec> _outageLog;
-};
-
-/**
- * FaultPlan that answers quantum faults and core outages from a
- * parsed journal; wedge lengths (a pure function of the payload)
- * delegate to the real plan's derivation.
- */
-class ReplayFaultPlan : public FaultPlan
-{
-  public:
-    ReplayFaultPlan(const FaultPlanConfig &cfg, const Journal &j);
-
-    QuantumFault quantumFault(uint32_t pid,
-                              uint64_t serial) const override;
-    uint32_t coreOutageAt(unsigned coreId, IsaKind isa,
-                          uint64_t round) const override;
-
-  private:
-    const Journal &_journal;
-};
-
-/**
  * Behavioural hash of a ServerConfig: every knob that affects what a
  * run does (pointer-valued observers — trace, metrics, tap — are
  * excluded). A journal records the hash of the config it was captured
@@ -106,6 +51,16 @@ class ReplayFaultPlan : public FaultPlan
  * ConfigMismatch instead of diverging mysteriously mid-run.
  */
 uint64_t serverConfigHash(const ServerConfig &cfg);
+
+/**
+ * Behavioural hash of a FleetConfig: every derived shard config's
+ * serverConfigHash plus the balancer knobs (session count, ring
+ * shape, queue bound, SLO, batch size, stealing). Observers —
+ * trace/metrics/tap, keepOutcomes, metricsPrefix — and the
+ * interleaving-only permuteShardStep knob are excluded: a journal
+ * recorded with one shard-step order must replay under any other.
+ */
+uint64_t fleetConfigHash(const FleetConfig &cfg);
 
 /** Recording knobs. */
 struct RecordOptions
@@ -133,6 +88,23 @@ struct ReplayResult
     uint64_t rounds = 0;    ///< rounds executed by this replay
     uint64_t startRound = 0; ///< 0, or the restored checkpoint round
     uint64_t syncChecks = 0; ///< round signatures verified
+};
+
+/** What recordFleetRun() produced. */
+struct FleetRecordResult
+{
+    FleetReport report; ///< identical to an un-recorded run's
+    uint64_t rounds = 0;
+    uint64_t journalBytes = 0;
+    uint64_t requestsDrawn = 0;
+};
+
+/** What replayFleetRun() produced. */
+struct FleetReplayResult
+{
+    FleetReport report; ///< must equal the recorded run's report
+    uint64_t rounds = 0;
+    uint64_t syncChecks = 0; ///< fleet round signatures verified
 };
 
 /**
@@ -164,6 +136,26 @@ ReplayResult replayWindow(const FatBinary &bin,
                           const ServerConfig &cfg,
                           const std::string &path, uint64_t fromRound,
                           ThreadPool *pool = nullptr);
+
+/**
+ * Run the fleet to completion under recording, writing the journal
+ * to @p path. The run is bit-identical to an un-recorded one with
+ * the same (bin, cfg). Fleet journals carry no checkpoints.
+ */
+FleetRecordResult recordFleetRun(const FatBinary &bin,
+                                 const FleetConfig &cfg,
+                                 const std::string &path,
+                                 ThreadPool *pool = nullptr);
+
+/**
+ * Re-drive a recorded fleet run from round 0 and verify it
+ * bit-exactly. Throws ReplayError (ConfigMismatch, Divergence, or
+ * any journal parse error).
+ */
+FleetReplayResult replayFleetRun(const FatBinary &bin,
+                                 const FleetConfig &cfg,
+                                 const std::string &path,
+                                 ThreadPool *pool = nullptr);
 
 } // namespace replay
 } // namespace hipstr

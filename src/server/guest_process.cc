@@ -5,6 +5,7 @@
 #include "binary/loader.hh"
 #include "isa/codec.hh"
 #include "migration/safety.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -304,27 +305,21 @@ uint64_t
 GuestProcess::statsSignature() const
 {
     GuestProcessStats s = stats();
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto fold = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    fold(_cfg.pid);
-    fold(s.guestInsts);
-    fold(s.guestInstsPerIsa[0]);
-    fold(s.guestInstsPerIsa[1]);
-    fold(s.quanta);
-    fold(s.migrations);
-    fold(s.migrationsDenied);
-    fold(s.crashes);
-    fold(s.respawns);
-    fold(s.programsCompleted);
-    fold(s.checksumMismatches);
-    fold(securityEvents());
-    fold(_os.outputChecksum());
-    fold(s.outputBytes);
+    uint64_t h = kFnvBasis;
+    fold64(h, _cfg.pid);
+    fold64(h, s.guestInsts);
+    fold64(h, s.guestInstsPerIsa[0]);
+    fold64(h, s.guestInstsPerIsa[1]);
+    fold64(h, s.quanta);
+    fold64(h, s.migrations);
+    fold64(h, s.migrationsDenied);
+    fold64(h, s.crashes);
+    fold64(h, s.respawns);
+    fold64(h, s.programsCompleted);
+    fold64(h, s.checksumMismatches);
+    fold64(h, securityEvents());
+    fold64(h, _os.outputChecksum());
+    fold64(h, s.outputBytes);
     return h;
 }
 

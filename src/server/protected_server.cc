@@ -17,39 +17,6 @@ namespace
  *  magnitude over any configured stream. */
 constexpr uint64_t kMaxRounds = 100'000'000;
 
-void
-fold64(uint64_t &h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-}
-
-void
-saveRequest(ByteWriter &w, const Request &r)
-{
-    w.u64(r.id);
-    w.u8(static_cast<uint8_t>(r.kind));
-    w.u64(r.costInsts);
-    w.u32(r.retries);
-}
-
-Request
-loadRequest(ByteReader &r)
-{
-    Request req;
-    req.id = r.u64();
-    uint8_t kind = r.u8();
-    if (kind >= kNumRequestKinds)
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "bad request kind in checkpoint");
-    req.kind = static_cast<RequestKind>(kind);
-    req.costInsts = r.u64();
-    req.retries = r.u32();
-    return req;
-}
-
 } // namespace
 
 ProtectedServer::ProtectedServer(const FatBinary &bin,
@@ -574,7 +541,7 @@ ProtectedServer::liveWorkers() const
 uint64_t
 ProtectedServer::roundSyncSignature() const
 {
-    uint64_t h = 0xcbf29ce484222325ull;
+    uint64_t h = kFnvBasis;
     fold64(h, _serve.roundNo);
     fold64(h, _serve.done);
     fold64(h, _serve.nextId);
@@ -595,7 +562,7 @@ ProtectedServer::saveCheckpoint(ByteWriter &w) const
     for (uint64_t n : st.report.servedByKind)
         w.u64(n);
     for (const InFlight &f : st.inflight) {
-        saveRequest(w, f.req);
+        writeRequest(w, f.req);
         w.u64(f.startRound);
         w.boolean(f.active);
         w.u8(static_cast<uint8_t>(f.assignIsa));
@@ -607,7 +574,7 @@ ProtectedServer::saveCheckpoint(ByteWriter &w) const
         w.boolean(st.retired[i]);
     w.u32(uint32_t(st.requeue.size()));
     for (const Request &r : st.requeue)
-        saveRequest(w, r);
+        writeRequest(w, r);
     w.u64(st.nextId);
     w.u64(uint64_t(st.latencies.size()));
     for (uint64_t l : st.latencies)
@@ -641,7 +608,7 @@ ProtectedServer::loadCheckpoint(ByteReader &r)
         n = r.u64();
     st.inflight.assign(_workers.size(), InFlight{});
     for (InFlight &f : st.inflight) {
-        f.req = loadRequest(r);
+        f.req = readRequest(r);
         f.startRound = r.u64();
         f.active = r.boolean();
         uint8_t isa = r.u8();
@@ -659,7 +626,7 @@ ProtectedServer::loadCheckpoint(ByteReader &r)
     st.requeue.clear();
     uint32_t queued = r.u32();
     for (uint32_t i = 0; i < queued; ++i)
-        st.requeue.push_back(loadRequest(r));
+        st.requeue.push_back(readRequest(r));
     st.nextId = r.u64();
     st.latencies.clear();
     uint64_t lats = r.u64();

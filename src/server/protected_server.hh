@@ -24,6 +24,7 @@
 #include "server/guest_process.hh"
 #include "server/request_stream.hh"
 #include "server/scheduler.hh"
+#include "support/hash.hh"
 #include "support/serialize.hh"
 #include "telemetry/metrics.hh"
 
@@ -385,7 +386,7 @@ class ProtectedServer
         std::deque<Request> requeue; ///< from retired workers
         uint64_t nextId = 0;
         std::vector<uint64_t> latencies;
-        uint64_t sig = 0xcbf29ce484222325ull;
+        uint64_t sig = kFnvBasis;
         uint64_t roundNo = 0;
         uint64_t done = 0;
         bool wasDegraded = false;

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "support/random.hh"
+#include "support/serialize.hh"
 
 namespace hipstr
 {
@@ -76,6 +77,34 @@ struct Request
     uint64_t costInsts = 0; ///< guest instructions to serve it
     unsigned retries = 0;   ///< times re-queued after worker loss
 };
+
+/** Serialize @p r. The one wire form of a request: server
+ *  checkpoints and record/replay journals both carry it. */
+inline void
+writeRequest(ByteWriter &w, const Request &r)
+{
+    w.u64(r.id);
+    w.u8(static_cast<uint8_t>(r.kind));
+    w.u64(r.costInsts);
+    w.u32(r.retries);
+}
+
+/** Inverse of writeRequest(); throws SerializeError (Corrupt) on an
+ *  out-of-range kind, Truncated on short input. */
+inline Request
+readRequest(ByteReader &r)
+{
+    Request req;
+    req.id = r.u64();
+    uint8_t kind = r.u8();
+    if (kind >= kNumRequestKinds)
+        throw SerializeError(SerializeErrc::Corrupt,
+                             "bad request kind");
+    req.kind = static_cast<RequestKind>(kind);
+    req.costInsts = r.u64();
+    req.retries = r.u32();
+    return req;
+}
 
 /**
  * The stream generator. make(id) is deterministic and stateless: two

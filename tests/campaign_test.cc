@@ -333,6 +333,35 @@ TEST(Campaign, RecordedHostileRunReplaysBitExact)
     EXPECT_EQ(rep.syncChecks, rec.rounds);
 }
 
+// The fleet twin of the test above: a recorded hostile fleet run —
+// the campaign rewriting the balancer's draws across three shards —
+// replays bit-exactly from the journal with no engine attached.
+TEST(Campaign, RecordedHostileFleetRunReplaysBitExact)
+{
+    FleetConfig cfg = hostileFleetConfig();
+    attack::CampaignEngine eng(fleetCampaignConfig(
+        cfg, attack::CampaignStrategy::RespawnTiming));
+    cfg.campaign = &eng;
+
+    std::string path = ::testing::TempDir() + "campaign_fleet_rec.hjl";
+    replay::FleetRecordResult rec =
+        replay::recordFleetRun(httpdBin(), cfg, path);
+    EXPECT_GT(eng.probesSent(), 0u);
+    EXPECT_GT(eng.report().crashesObserved, 0u)
+        << "respawn-timing campaign never crashed a worker";
+
+    cfg.campaign = nullptr;
+    replay::FleetReplayResult rep =
+        replay::replayFleetRun(httpdBin(), cfg, path);
+    EXPECT_EQ(rep.report.signature, rec.report.signature);
+    EXPECT_EQ(rep.report.outcomeSetSignature,
+              rec.report.outcomeSetSignature);
+    EXPECT_EQ(rep.report.rounds, rec.report.rounds);
+    EXPECT_EQ(rep.report.crashes, rec.report.crashes);
+    EXPECT_EQ(rep.syncChecks, rec.rounds);
+    checkLedger(cfg, rep.report);
+}
+
 // Satellite 1 regression: the infirmary's exponential backoff must
 // saturate at the cap, not shift-overflow, once a worker's
 // consecutive-crash streak passes 64 (reachable whenever quarantine

@@ -2,9 +2,9 @@
  * @file
  * Tests for the record/replay subsystem: journal round trips,
  * bit-exact replay (full and windowed), the typed rejection of
- * damaged journals, guest-process checkpoint round trips across
- * every workload/ISA/seed combination, and the TCP introspection
- * server's line protocol.
+ * damaged server and fleet journals, the pinned journal bytes,
+ * guest-process checkpoint round trips across every workload/ISA/seed
+ * combination, and the TCP introspection server's line protocol.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "replay/introspect.hh"
 #include "replay/record_replay.hh"
+#include "support/hash.hh"
 #include "support/random.hh"
 #include "test_util.hh"
 #include "workloads/workloads.hh"
@@ -75,6 +76,27 @@ chaosConfig()
     return cfg;
 }
 
+/** Small chaos fleet: two shards, faults on, coin flips below 1. */
+FleetConfig
+smallFleetConfig()
+{
+    FleetConfig cfg;
+    cfg.shards = 2;
+    cfg.requestCount = 120;
+    cfg.sessions = 16;
+    cfg.batchSize = 8;
+    cfg.mix.attackFrac = 0.08;
+    cfg.mix.malformedFrac = 0.05;
+    cfg.server.workers = 3;
+    cfg.server.hipstr.diversificationProbability = 0.5;
+    cfg.server.watchdogQuanta = 3;
+    cfg.server.sched.supervisor.backoffBaseRounds = 2;
+    cfg.server.faults.enabled = true;
+    cfg.server.faults.quantumFaultRate = 0.01;
+    cfg.server.faults.coreFailRate = 0.002;
+    return cfg;
+}
+
 std::string
 tempPath(const std::string &name)
 {
@@ -105,31 +127,50 @@ spit(const std::string &path, const std::vector<uint8_t> &bytes)
     std::fclose(f);
 }
 
-/** Byte offset of the first record with @p tag (after the header),
- *  or SIZE_MAX. */
-size_t
-findRecord(const std::vector<uint8_t> &bytes, RecordTag tag)
+/** Payload length of the record at byte offset @p off. */
+uint32_t
+recordLength(const std::vector<uint8_t> &bytes, size_t off)
 {
-    size_t off = 8 + 4 + 8; // magic, version, configHash
-    while (off + 5 <= bytes.size()) {
-        uint8_t t = bytes[off];
-        uint32_t len = uint32_t(bytes[off + 1]) |
-            (uint32_t(bytes[off + 2]) << 8) |
-            (uint32_t(bytes[off + 3]) << 16) |
-            (uint32_t(bytes[off + 4]) << 24);
-        if (t == static_cast<uint8_t>(tag))
-            return off;
-        off += 5 + len;
-    }
-    return SIZE_MAX;
+    return uint32_t(bytes[off + 1]) | (uint32_t(bytes[off + 2]) << 8) |
+        (uint32_t(bytes[off + 3]) << 16) |
+        (uint32_t(bytes[off + 4]) << 24);
 }
 
+/** Byte offsets of every record with @p tag, in journal order. */
+std::vector<size_t>
+recordOffsets(const std::vector<uint8_t> &bytes, RecordTag tag)
+{
+    std::vector<size_t> out;
+    size_t off = 8 + 4 + 8; // magic, version, configHash
+    while (off + 5 <= bytes.size()) {
+        if (bytes[off] == static_cast<uint8_t>(tag))
+            out.push_back(off);
+        off += 5 + recordLength(bytes, off);
+    }
+    return out;
+}
+
+/** FNV-1a of a whole file. */
+uint64_t
+fileHash(const std::string &path)
+{
+    std::vector<uint8_t> bytes = slurp(path);
+    uint64_t h = kFnvBasis;
+    foldBytes(h, bytes.data(), bytes.size());
+    return h;
+}
+
+/** The code of the ReplayError @p fn throws; its message goes to
+ *  @p what when given. */
 ReplayErrc
-replayErrcOf(const std::function<void()> &fn)
+replayErrcOf(const std::function<void()> &fn,
+             std::string *what = nullptr)
 {
     try {
         fn();
     } catch (const ReplayError &e) {
+        if (what != nullptr)
+            *what = e.what();
         return e.code();
     }
     ADD_FAILURE() << "expected a ReplayError";
@@ -212,66 +253,156 @@ TEST(Replay, WindowedReplayFromMidRunSyncPoint)
     EXPECT_EQ(rep.report.requestsServed, rec.report.requestsServed);
 }
 
-// Damaged journals fail fast with the right typed error.
-TEST(Replay, DamagedJournalsRejectedWithTypedErrors)
+/** One journal flavour the damage tests run over. */
+struct JournalCase
 {
-    ServerConfig cfg = smallConfig();
-    std::string path = tempPath("replay_damage.hjl");
-    recordRun(httpdBin(), cfg, path);
+    std::string name;
+    /** Record the fixed run to @p path. */
+    std::function<void(const std::string &)> record;
+    /** Replay @p path under the recorded config, or — @p mismatched —
+     *  under one that differs in a single behavioural knob. */
+    std::function<void(const std::string &, bool mismatched)> replay;
+};
+
+void
+PrintTo(const JournalCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ReplayDamage : public ::testing::TestWithParam<JournalCase>
+{
+};
+
+// Damaged journals fail fast with the right typed error — for a lone
+// server and a two-shard fleet alike, both with faults on and coin
+// flips that can land either way.
+TEST_P(ReplayDamage, DamagedJournalsRejectedWithTypedErrors)
+{
+    const JournalCase &c = GetParam();
+    std::string path = tempPath("replay_damage_" + c.name + ".hjl");
+    c.record(path);
     std::vector<uint8_t> good = slurp(path);
     ASSERT_GT(good.size(), 40u);
+    c.replay(path, false); // the undamaged journal replays
+
+    std::string why;
+    auto replayBytes = [&](const std::vector<uint8_t> &bytes) {
+        std::string badPath =
+            tempPath("replay_damage_" + c.name + "_bad.hjl");
+        spit(badPath, bytes);
+        return replayErrcOf([&] { c.replay(badPath, false); }, &why);
+    };
 
     // Truncated: lop off the End record and change nothing else.
-    {
-        std::vector<uint8_t> bad(good.begin(), good.end() - 10);
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::Truncated);
-    }
+    EXPECT_EQ(replayBytes({ good.begin(), good.end() - 10 }),
+              ReplayErrc::Truncated);
     // Bad magic.
     {
         std::vector<uint8_t> bad = good;
         bad[0] ^= 0xff;
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::BadMagic);
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::BadMagic);
     }
     // Bad version.
     {
         std::vector<uint8_t> bad = good;
         bad[8] += 1;
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::BadVersion);
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::BadVersion);
     }
     // Unknown record tag.
     {
         std::vector<uint8_t> bad = good;
-        size_t off = findRecord(bad, RecordTag::Sync);
-        ASSERT_NE(off, SIZE_MAX);
-        bad[off] = 0xee;
-        EXPECT_EQ(replayErrcOf([&] { parseJournal(bad); }),
-                  ReplayErrc::Corrupt);
+        std::vector<size_t> syncs = recordOffsets(bad, RecordTag::Sync);
+        ASSERT_FALSE(syncs.empty());
+        bad[syncs[0]] = 0xee;
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::Corrupt);
     }
-    // Config mismatch: same journal, different server seed.
+    // A request of a kind no writer produces.
     {
-        ServerConfig other = cfg;
-        other.seed += 1;
-        EXPECT_EQ(replayErrcOf([&] {
-                      replayRun(httpdBin(), other, path);
-                  }),
-                  ReplayErrc::ConfigMismatch);
+        std::vector<uint8_t> bad = good;
+        std::vector<size_t> reqs =
+            recordOffsets(bad, RecordTag::Request);
+        ASSERT_FALSE(reqs.empty());
+        bad[reqs[0] + 5 + 8] = 0xee; // the kind byte, after the id
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::Corrupt);
     }
+    // Config mismatch: same journal, one behavioural knob changed.
+    EXPECT_EQ(replayErrcOf([&] { c.replay(path, true); }),
+              ReplayErrc::ConfigMismatch);
     // A flipped sync signature parses fine but diverges on replay.
     {
         std::vector<uint8_t> bad = good;
-        size_t off = findRecord(bad, RecordTag::Sync);
-        ASSERT_NE(off, SIZE_MAX);
-        bad[off + 5 + 8] ^= 0x01; // first byte of the signature
-        std::string badPath = tempPath("replay_damage_sync.hjl");
-        spit(badPath, bad);
-        EXPECT_EQ(replayErrcOf([&] {
-                      replayRun(httpdBin(), cfg, badPath);
-                  }),
-                  ReplayErrc::Divergence);
+        std::vector<size_t> syncs = recordOffsets(bad, RecordTag::Sync);
+        ASSERT_FALSE(syncs.empty());
+        bad[syncs[0] + 5 + 8] ^= 0x01; // first byte of the signature
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::Divergence);
+        EXPECT_NE(why.find("sync signature mismatch"), std::string::npos)
+            << why;
     }
+    // Dropping the last coin flip starves the worker that drew it.
+    {
+        std::vector<uint8_t> bad = good;
+        std::vector<size_t> coins = recordOffsets(bad, RecordTag::Coin);
+        ASSERT_FALSE(coins.empty());
+        size_t off = coins.back();
+        bad.erase(bad.begin() + off,
+                  bad.begin() + off + 5 + recordLength(bad, off));
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::Divergence);
+        EXPECT_NE(why.find("drew more coins than were recorded"),
+                  std::string::npos)
+            << why;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Journals, ReplayDamage,
+    ::testing::Values(
+        JournalCase{ "Server",
+                     [](const std::string &p) {
+                         recordRun(httpdBin(), chaosConfig(), p);
+                     },
+                     [](const std::string &p, bool mismatched) {
+                         ServerConfig cfg = chaosConfig();
+                         cfg.seed += mismatched ? 1 : 0;
+                         replayRun(httpdBin(), cfg, p);
+                     } },
+        JournalCase{ "Fleet",
+                     [](const std::string &p) {
+                         recordFleetRun(httpdBin(), smallFleetConfig(),
+                                        p);
+                     },
+                     [](const std::string &p, bool mismatched) {
+                         FleetConfig cfg = smallFleetConfig();
+                         cfg.queueCap += mismatched ? 1 : 0;
+                         replayFleetRun(httpdBin(), cfg, p);
+                     } }),
+    [](const ::testing::TestParamInfo<JournalCase> &info) {
+        return info.param.name;
+    });
+
+// The journal format is pinned: a fixed server run (checkpoints
+// included) and a fixed two-shard fleet run must produce exactly the
+// bytes they always have. A deliberate format change bumps
+// kJournalVersion and these constants together. Checkpoints carry the
+// trace layer's counters, so the runs pin traces on rather than
+// following HIPSTR_TRACE.
+TEST(Replay, JournalBytesPinned)
+{
+    const auto tracesOn = PsrConfig::TraceMode::On;
+    ServerConfig cfg = chaosConfig();
+    cfg.hipstr.psr.traceMode = tracesOn;
+    std::string path = tempPath("replay_pin_server.hjl");
+    RecordOptions opts;
+    opts.checkpointEveryRounds = 8;
+    RecordResult rec = recordRun(httpdBin(), cfg, path, nullptr, opts);
+    EXPECT_EQ(rec.checkpoints, 10u);
+    EXPECT_EQ(fileHash(path), 0x15f3d9d7171c37e7ull);
+
+    FleetConfig fcfg = smallFleetConfig();
+    fcfg.server.hipstr.psr.traceMode = tracesOn;
+    path = tempPath("replay_pin_fleet.hjl");
+    recordFleetRun(httpdBin(), fcfg, path);
+    EXPECT_EQ(fileHash(path), 0x3a512e288bb5bb0full);
 }
 
 // Checkpoint round-trip property: for every workload, both start
