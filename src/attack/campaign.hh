@@ -200,10 +200,10 @@ CampaignConfig campaignConfigFor(CampaignStrategy s,
 
 /**
  * The engine. Sequential by construction: rewrite() runs inside the
- * server/fleet's sequential draw loops, observe() inside the
+ * drivers' sequential draws (drawRequest()), observe() inside the
  * sequential poll/dispose sections, commitRound() once per round from
- * the owner (the server when ServerConfig::campaignCommits, else the
- * fleet).
+ * the driver (a lone server's stepRound(), or the fleet for all of
+ * its shards).
  */
 class CampaignEngine
 {

@@ -46,7 +46,6 @@ ServerConfig
 shardServerConfig(const FleetConfig &cfg, unsigned k)
 {
     ServerConfig sc = cfg.server;
-    sc.shardMode = true;
     // The shard draws nothing itself; its requestCount only sizes
     // internal reservations, and the fleet bounds what one shard can
     // be asked to hold.
@@ -76,16 +75,12 @@ shardServerConfig(const FleetConfig &cfg, unsigned k)
     // order — the permuteShardStep invariance root).
     sc.campaign = cfg.campaign;
     sc.campaignShard = k;
-    sc.campaignCommits = false;
-    // onComplete/onRetry are wired by the ProtectedFleet constructor.
-    sc.onComplete = nullptr;
-    sc.onRetry = nullptr;
     return sc;
 }
 
 ProtectedFleet::ProtectedFleet(const FatBinary &bin,
                                const FleetConfig &cfg)
-    : _bin(bin), _cfg(cfg),
+    : _cfg(cfg),
       _stream(cfg.seed, cfg.mix, cfg.costs),
       _sig(kFnvBasis)
 {
@@ -115,19 +110,10 @@ ProtectedFleet::ProtectedFleet(const FatBinary &bin,
               });
 
     _queues.resize(cfg.shards);
-    _completed.resize(cfg.shards);
-    _retried.resize(cfg.shards);
     _disposed.assign(cfg.requestCount, 0);
     for (unsigned k = 0; k < cfg.shards; ++k) {
-        ServerConfig sc = shardServerConfig(cfg, k);
-        sc.onComplete = [this, k](const Request &r, uint64_t lat) {
-            _completed[k].emplace_back(r, lat);
-        };
-        sc.onRetry = [this, k](const Request &r) {
-            _retried[k].push_back(r);
-        };
-        _shards.push_back(
-            std::make_unique<ProtectedServer>(bin, sc));
+        _shards.push_back(std::make_unique<ProtectedServer>(
+            bin, shardServerConfig(cfg, k)));
         _lat.push_back(std::make_unique<telemetry::HistogramMetric>(
             "fleet.latency", 1, kLatencyBins));
     }
@@ -277,20 +263,9 @@ ProtectedFleet::ingestRound()
         uint64_t id = _nextId++;
         const uint64_t session = sessionOf(id);
         const uint32_t home = shardOf(session);
-        Request r;
-        // Record/replay seam, mirroring the single server's: a
-        // replayer supplies the journaled request, a recorder logs
-        // the live draw. The campaign rewrites between draw and
-        // journal, so recordings carry the probes.
-        if (_cfg.tap == nullptr || !_cfg.tap->supplyRequest(id, r)) {
-            r = _stream.make(id);
-            if (_cfg.campaign != nullptr)
-                _cfg.campaign->rewrite(r, home, session, _roundNo);
-            if (_cfg.tap != nullptr)
-                _cfg.tap->requestDrawn(r);
-        }
         Pending p;
-        p.req = r;
+        p.req = drawRequest(_stream, id, _cfg.tap, _cfg.campaign, home,
+                            session, _roundNo);
         p.session = session;
         p.home = home;
         p.arrival = _roundNo;
@@ -363,32 +338,27 @@ void
 ProtectedFleet::finishShardFold(unsigned k)
 {
     using telemetry::TraceCategory;
-    for (const auto &done : _completed[k]) {
-        const Request &r = done.first;
+    auto takeInflight = [&](const Request &r, const char *what) {
         auto it = _inflight.find(r.id);
         if (it == _inflight.end()) {
-            hipstr_fatal("shard %u completed unknown request %llu",
-                         k, static_cast<unsigned long long>(r.id));
+            hipstr_fatal("shard %u %s unknown request %llu", k, what,
+                         static_cast<unsigned long long>(r.id));
         }
         Pending p = it->second;
         _inflight.erase(it);
         p.req = r; // the shard's copy carries the retry count
+        return p;
+    };
+    for (const Request &r : _shards[k]->completed()) {
+        Pending p = takeInflight(r, "completed");
         uint64_t lat = _roundNo - p.arrival;
         _lat[k]->sample(lat);
         _report.maxRounds = std::max(_report.maxRounds, lat);
         dispose(p, k, FleetOutcome::Served, lat);
     }
-    _completed[k].clear();
 
-    for (const Request &r : _retried[k]) {
-        auto it = _inflight.find(r.id);
-        if (it == _inflight.end()) {
-            hipstr_fatal("shard %u retried unknown request %llu",
-                         k, static_cast<unsigned long long>(r.id));
-        }
-        Pending p = it->second;
-        _inflight.erase(it);
-        p.req = r; // retries already incremented by the shard
+    for (const Request &r : _shards[k]->retried()) {
+        Pending p = takeInflight(r, "retried");
         ++_report.requestsRetried;
         fold64(_sig, kSigRetry);
         fold64(_sig, r.id);
@@ -405,7 +375,6 @@ ProtectedFleet::finishShardFold(unsigned k)
                     .arg("retries", r.retries));
         }
     }
-    _retried[k].clear();
 }
 
 uint64_t
@@ -472,7 +441,7 @@ ProtectedFleet::run(ThreadPool *pool)
             for (size_t i = 0; i < n; ++i) {
                 Pending p = _queues[k].front();
                 _queues[k].pop_front();
-                _shards[k]->submitExternal(p.req);
+                _shards[k]->submit(p.req);
                 _inflight.emplace(p.req.id, p);
             }
         }
@@ -484,7 +453,7 @@ ProtectedFleet::run(ThreadPool *pool)
             unsigned k = _cfg.permuteShardStep
                 ? static_cast<unsigned>((i + _roundNo) % _cfg.shards)
                 : i;
-            _shards[k]->stepRound(pool);
+            _shards[k]->serveRound(pool);
         }
         ++_roundNo;
 
@@ -492,18 +461,23 @@ ProtectedFleet::run(ThreadPool *pool)
         for (unsigned k = 0; k < _cfg.shards; ++k)
             finishShardFold(k);
 
-        // 8. Typed abandonment when no worker anywhere can serve.
+        // 8. Typed abandonment. A dead shard's queue can only be
+        // drained by a thief, so without stealing it is dropped now;
+        // when no worker anywhere can serve, everything is.
         unsigned live = 0;
         for (unsigned k = 0; k < _cfg.shards; ++k)
             live += _shards[k]->liveWorkers();
+        for (unsigned k = 0; k < _cfg.shards; ++k) {
+            if (live != 0 &&
+                (_cfg.workStealing || _shards[k]->liveWorkers() != 0))
+                continue;
+            for (const Pending &p : _queues[k])
+                dispose(p, k, FleetOutcome::Abandoned,
+                        _roundNo - p.arrival);
+            _queues[k].clear();
+        }
         if (live == 0) {
             hipstr_assert(_inflight.empty());
-            for (unsigned k = 0; k < _cfg.shards; ++k) {
-                for (const Pending &p : _queues[k])
-                    dispose(p, k, FleetOutcome::Abandoned,
-                            _roundNo - p.arrival);
-                _queues[k].clear();
-            }
             for (const Pending &p : _arrival)
                 dispose(p, p.home, FleetOutcome::Abandoned,
                         _roundNo - p.arrival);
@@ -513,17 +487,6 @@ ProtectedFleet::run(ThreadPool *pool)
             // them), so availability stays served/offered over what
             // the fleet actually admitted.
             finished = true;
-        } else if (!_cfg.workStealing) {
-            // A dead shard's queue can only be drained by a thief;
-            // without stealing those requests get a typed drop now.
-            for (unsigned k = 0; k < _cfg.shards; ++k) {
-                if (_shards[k]->liveWorkers() != 0)
-                    continue;
-                for (const Pending &p : _queues[k])
-                    dispose(p, k, FleetOutcome::Abandoned,
-                            _roundNo - p.arrival);
-                _queues[k].clear();
-            }
         }
 
         // 9. Done when the stream is drained and nothing is queued,

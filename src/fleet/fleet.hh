@@ -79,8 +79,8 @@ struct FleetConfig
     unsigned shards = 4;
 
     /**
-     * Per-shard server template. The fleet overrides the shard-mode
-     * plumbing (shardMode, callbacks, tap) and derives per-shard
+     * Per-shard server template. The fleet rewires the observers
+     * (trace, metrics, tap, campaign channel) and derives per-shard
      * seeds; everything else — workers, CMP shape, mix-independent
      * knobs, supervisor policy, fault rates — applies to every shard
      * identically. The template's own requestCount/seed/mix are not
@@ -150,12 +150,10 @@ struct FleetConfig
 };
 
 /**
- * The k-th shard's derived ServerConfig: shard mode on, per-shard
- * seeds folded from (fleet seed, k), observers rewired. The single
- * source of truth shared by the fleet constructor and the replay
- * layer (which must decorate the exact fault config shard k runs).
- * The completion/retry callbacks are not set here — the fleet wires
- * its own.
+ * The k-th shard's derived ServerConfig: per-shard seeds folded from
+ * (fleet seed, k), observers rewired. The single source of truth
+ * shared by the fleet constructor and the replay layer (which must
+ * decorate the exact fault config shard k runs).
  */
 ServerConfig shardServerConfig(const FleetConfig &cfg, unsigned k);
 
@@ -294,7 +292,6 @@ class ProtectedFleet
                  uint64_t latency);
     void finishShardFold(unsigned k);
 
-    const FatBinary &_bin;
     FleetConfig _cfg;
     RequestStream _stream;
     std::vector<std::unique_ptr<ProtectedServer>> _shards;
@@ -308,11 +305,6 @@ class ProtectedFleet
     uint64_t _nextId = 0;
     uint64_t _roundNo = 0;
     bool _ran = false;
-    /** @} */
-
-    /** Per-round shard callback capture, folded in index order. @{ */
-    std::vector<std::vector<std::pair<Request, uint64_t>>> _completed;
-    std::vector<std::vector<Request>> _retried;
     /** @} */
 
     /** Accounting. @{ */

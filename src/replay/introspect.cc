@@ -195,8 +195,8 @@ IntrospectionServer::handleLine(const std::string &line)
         if (f == nullptr)
             return "err cannot open " + tok[1] + "\n";
         size_t n = std::fwrite(w.data().data(), 1, w.size(), f);
-        bool bad = n != w.size() || std::fclose(f) != 0;
-        if (bad)
+        bool closed = std::fclose(f) == 0;
+        if (n != w.size() || !closed)
             return "err short write to " + tok[1] + "\n";
         out << "ok bytes=" << w.size() << "\n";
     } else if (cmd == "step" && tok.size() <= 2) {

@@ -128,6 +128,12 @@ parseJournal(const std::vector<uint8_t> &bytes)
             switch (static_cast<RecordTag>(tag)) {
               case RecordTag::Request: {
                   Request req = readRequest(body);
+                  // Both drivers draw ids in increasing order, so a
+                  // repeated or regressing id is damage.
+                  if (!j.requests.empty() &&
+                      req.id <= j.requests.rbegin()->first)
+                      throw ReplayError(ReplayErrc::Corrupt,
+                                        "request ids not increasing");
                   pending.draws.push_back(req);
                   j.requests[req.id] = req;
                   break;
@@ -201,6 +207,9 @@ parseJournal(const std::vector<uint8_t> &bytes)
                                     "unknown journal record tag " +
                                         std::to_string(tag));
             }
+            if (!body.atEnd())
+                throw ReplayError(ReplayErrc::Corrupt,
+                                  "trailing bytes in journal record");
             if (sawEnd)
                 break;
         }

@@ -46,105 +46,166 @@ shardFaults(const FleetConfig &cfg)
 // Config hashing.
 // ---------------------------------------------------------------
 
+namespace
+{
+
+// One field list per hashed config struct. Each structured binding
+// names every data member, so a member added to the struct fails to
+// compile here until it is classified: passed to the visitor
+// (behavioural, in hash order) or to observers() (it changes what is
+// observed, not what happens, and is never hashed).
+
+template <class... T>
+void
+observers(const T &...)
+{
+}
+
+/** A struct whose fields are all behavioural, in declaration order. */
+#define HIPSTR_BEHAVIOURAL_FIELDS(Type, ...)                          \
+    template <class V>                                                \
+    void visitFields(const Type &c, V &&v)                            \
+    {                                                                 \
+        const auto &[__VA_ARGS__] = c;                                \
+        v(__VA_ARGS__);                                               \
+    }
+
+HIPSTR_BEHAVIOURAL_FIELDS(CmpConfig, riscCores, ciscCores)
+HIPSTR_BEHAVIOURAL_FIELDS(SupervisorConfig, backoffBaseRounds,
+                          backoffCapRounds, quarantineAfter,
+                          quarantineRounds)
+HIPSTR_BEHAVIOURAL_FIELDS(SchedulerConfig, quantumInsts, respawnLimit,
+                          supervisor)
+HIPSTR_BEHAVIOURAL_FIELDS(RequestMix, dynamicFrac, postFrac,
+                          malformedFrac, attackFrac)
+HIPSTR_BEHAVIOURAL_FIELDS(RequestCosts, staticInsts, dynamicInsts,
+                          postInsts, malformedInsts, attackInsts)
+HIPSTR_BEHAVIOURAL_FIELDS(FaultPlanConfig, enabled, seed,
+                          quantumFaultRate, coreFailRate,
+                          outageRoundsMin, outageRoundsMax,
+                          wedgeQuantaMin, wedgeQuantaMax,
+                          scriptedOutageIsa, scriptedOutageRound,
+                          scriptedOutageRounds)
+HIPSTR_BEHAVIOURAL_FIELDS(HipstrConfig, psr, diversificationProbability,
+                          migrateOnSecurityEvents, phaseIntervalInsts,
+                          migrationLogCap, startIsa, policySeed)
+#undef HIPSTR_BEHAVIOURAL_FIELDS
+
+template <class V>
+void
+visitFields(const PsrConfig &c, V &&v)
+{
+    const auto &[optLevel, randSpaceBytes, randomizeCallingConvention,
+                 randomizeRegisters, relocateRegsToMemory,
+                 randomizeSlots, codeCacheBytes, ratEntries,
+                 regCacheEntries, maxSuperblockBlocks, traceMode,
+                 traceHotThreshold, traceMaxBlocks, jitMode,
+                 jitArenaBytes, isomeronMode, seed] = c;
+    observers(traceMode, jitMode, jitArenaBytes);
+    v(optLevel, randSpaceBytes, randomizeCallingConvention,
+      randomizeRegisters, relocateRegsToMemory, randomizeSlots,
+      codeCacheBytes, ratEntries, regCacheEntries, maxSuperblockBlocks,
+      traceHotThreshold, traceMaxBlocks, isomeronMode, seed);
+}
+
+template <class V>
+void
+visitFields(const ServerConfig &c, V &&v)
+{
+    const auto &[workers, cmp, sched, requestCount, seed, mix, costs,
+                 hipstr, outputCap, verifyOutput, trace, faults,
+                 watchdogQuanta, metrics, tap, faultPlanOverride,
+                 campaign, campaignShard] = c;
+    observers(trace, metrics, tap, faultPlanOverride, campaign,
+              campaignShard);
+    v(workers, cmp, sched, requestCount, seed, mix, costs, hipstr,
+      outputCap, verifyOutput, faults, watchdogQuanta);
+}
+
+/** The shard template `server` goes last: see ConfigHasher. */
+template <class V>
+void
+visitFields(const FleetConfig &c, V &&v)
+{
+    const auto &[shards, server, requestCount, seed, mix, costs,
+                 sessions, vnodesPerShard, queueCap, sloRounds,
+                 batchSize, workStealing, keepOutcomes,
+                 permuteShardStep, trace, metrics, metricsPrefix, tap,
+                 shardPlanOverrides, campaign] = c;
+    observers(keepOutcomes, permuteShardStep, trace, metrics,
+              metricsPrefix, tap, shardPlanOverrides, campaign);
+    v(shards, requestCount, seed, mix, costs, sessions, vnodesPerShard,
+      queueCap, sloRounds, batchSize, workStealing, server);
+}
+
+/**
+ * Serializes behavioural fields by type: integers, bools, doubles and
+ * ISAs as themselves, config structs through their field list; any
+ * other type fails to compile. A ServerConfig ends with its serving
+ * role (true for a fleet shard). Inside a fleet it is the template,
+ * written as every derived shard config's hash: two fleets hash equal
+ * iff every shard would behave identically.
+ */
+struct ConfigHasher
+{
+    template <class... T>
+    void
+    operator()(const T &...fields)
+    {
+        (put(fields), ...);
+    }
+
+    void put(bool x) { w.boolean(x); }
+    void put(uint32_t x) { w.u32(x); }
+    void put(uint64_t x) { w.u64(x); }
+    void put(double x) { w.f64(x); }
+    void put(IsaKind x) { w.u8(static_cast<uint8_t>(x)); }
+
+    template <class Config>
+    void
+    put(const Config &c)
+    {
+        visitFields(c, *this);
+    }
+
+    void
+    put(const ServerConfig &c)
+    {
+        if (fleet == nullptr) {
+            visitFields(c, *this);
+            w.boolean(fleetShard);
+            return;
+        }
+        for (unsigned k = 0; k < fleet->shards; ++k) {
+            ConfigHasher shard;
+            shard.fleetShard = true;
+            shard.put(shardServerConfig(*fleet, k));
+            w.u64(hashBytes(shard.w));
+        }
+    }
+
+    ByteWriter w;
+    const FleetConfig *fleet = nullptr;
+    bool fleetShard = false;
+};
+
+} // namespace
+
 uint64_t
 serverConfigHash(const ServerConfig &cfg)
 {
-    // Serialize every behavioural knob, then FNV-1a the bytes.
-    // Observer pointers (trace, metrics, tap, faultPlanOverride) are
-    // deliberately excluded: they change what is observed, not what
-    // happens.
-    ByteWriter w;
-    w.u32(cfg.workers);
-    w.u32(cfg.cmp.riscCores);
-    w.u32(cfg.cmp.ciscCores);
-    w.u64(cfg.sched.quantumInsts);
-    w.u32(cfg.sched.respawnLimit);
-    w.u32(cfg.sched.supervisor.backoffBaseRounds);
-    w.u32(cfg.sched.supervisor.backoffCapRounds);
-    w.u32(cfg.sched.supervisor.quarantineAfter);
-    w.u32(cfg.sched.supervisor.quarantineRounds);
-    w.u64(cfg.requestCount);
-    w.u64(cfg.seed);
-    w.f64(cfg.mix.dynamicFrac);
-    w.f64(cfg.mix.postFrac);
-    w.f64(cfg.mix.malformedFrac);
-    w.f64(cfg.mix.attackFrac);
-    w.u64(cfg.costs.staticInsts);
-    w.u64(cfg.costs.dynamicInsts);
-    w.u64(cfg.costs.postInsts);
-    w.u64(cfg.costs.malformedInsts);
-    w.u64(cfg.costs.attackInsts);
-    const PsrConfig &p = cfg.hipstr.psr;
-    w.u32(p.optLevel);
-    w.u32(p.randSpaceBytes);
-    w.boolean(p.randomizeCallingConvention);
-    w.boolean(p.randomizeRegisters);
-    w.boolean(p.relocateRegsToMemory);
-    w.boolean(p.randomizeSlots);
-    w.u32(p.codeCacheBytes);
-    w.u32(p.ratEntries);
-    w.u32(p.regCacheEntries);
-    w.u32(p.maxSuperblockBlocks);
-    w.u32(p.traceHotThreshold);
-    w.u32(p.traceMaxBlocks);
-    w.boolean(p.isomeronMode);
-    w.u64(p.seed);
-    w.f64(cfg.hipstr.diversificationProbability);
-    w.boolean(cfg.hipstr.migrateOnSecurityEvents);
-    w.u64(cfg.hipstr.phaseIntervalInsts);
-    w.u32(cfg.hipstr.migrationLogCap);
-    w.u8(static_cast<uint8_t>(cfg.hipstr.startIsa));
-    w.u64(cfg.hipstr.policySeed);
-    w.u64(cfg.outputCap);
-    w.boolean(cfg.verifyOutput);
-    w.boolean(cfg.faults.enabled);
-    w.u64(cfg.faults.seed);
-    w.f64(cfg.faults.quantumFaultRate);
-    w.f64(cfg.faults.coreFailRate);
-    w.u32(cfg.faults.outageRoundsMin);
-    w.u32(cfg.faults.outageRoundsMax);
-    w.u32(cfg.faults.wedgeQuantaMin);
-    w.u32(cfg.faults.wedgeQuantaMax);
-    w.u8(static_cast<uint8_t>(cfg.faults.scriptedOutageIsa));
-    w.u64(cfg.faults.scriptedOutageRound);
-    w.u32(cfg.faults.scriptedOutageRounds);
-    w.u32(cfg.watchdogQuanta);
-    // Shard mode changes the serve loop (no stream draws, external
-    // intake) even though the callbacks themselves are output-only.
-    w.boolean(cfg.shardMode);
-    return hashBytes(w);
+    ConfigHasher h;
+    h.put(cfg);
+    return hashBytes(h.w);
 }
 
 uint64_t
 fleetConfigHash(const FleetConfig &cfg)
 {
-    ByteWriter w;
-    w.u32(cfg.shards);
-    w.u64(cfg.requestCount);
-    w.u64(cfg.seed);
-    w.f64(cfg.mix.dynamicFrac);
-    w.f64(cfg.mix.postFrac);
-    w.f64(cfg.mix.malformedFrac);
-    w.f64(cfg.mix.attackFrac);
-    w.u64(cfg.costs.staticInsts);
-    w.u64(cfg.costs.dynamicInsts);
-    w.u64(cfg.costs.postInsts);
-    w.u64(cfg.costs.malformedInsts);
-    w.u64(cfg.costs.attackInsts);
-    w.u64(cfg.sessions);
-    w.u32(cfg.vnodesPerShard);
-    w.u64(static_cast<uint64_t>(cfg.queueCap));
-    w.u64(cfg.sloRounds);
-    w.u32(cfg.batchSize);
-    w.boolean(cfg.workStealing);
-    // Every derived shard config, k order: two fleets hash equal iff
-    // every shard would behave identically. shardPlanOverrides do not
-    // feed shardServerConfig's hashed fields (faultPlanOverride is an
-    // excluded observer), so a recording config and a replay config
-    // carrying different decorators still hash the same — by design.
-    for (unsigned k = 0; k < cfg.shards; ++k)
-        w.u64(serverConfigHash(shardServerConfig(cfg, k)));
-    return hashBytes(w);
+    ConfigHasher h;
+    h.fleet = &cfg;
+    h.put(cfg);
+    return hashBytes(h.w);
 }
 
 namespace

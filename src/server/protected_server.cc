@@ -19,6 +19,22 @@ constexpr uint64_t kMaxRounds = 100'000'000;
 
 } // namespace
 
+Request
+drawRequest(const RequestStream &stream, uint64_t id, ServerTap *tap,
+            attack::CampaignEngine *campaign, uint32_t homeShard,
+            uint64_t session, uint64_t round)
+{
+    Request r;
+    if (tap != nullptr && tap->supplyRequest(id, r))
+        return r;
+    r = stream.make(id);
+    if (campaign != nullptr)
+        campaign->rewrite(r, homeShard, session, round);
+    if (tap != nullptr)
+        tap->requestDrawn(r);
+    return r;
+}
+
 ProtectedServer::ProtectedServer(const FatBinary &bin,
                                  const ServerConfig &cfg)
     : _bin(bin), _cfg(cfg), _cmp(cfg.cmp), _sched(_cmp, cfg.sched),
@@ -94,11 +110,6 @@ ProtectedServer::beginRun()
         st.usPerRound = double(_cfg.sched.quantumInsts) *
             double(_cmp.totalCores()) / agg * 1e6;
     }
-    // A shard cannot account for its requests alone: the fleet owns
-    // arrival times, routing, and re-routing after worker loss.
-    if (_cfg.shardMode)
-        hipstr_assert(_cfg.onComplete && _cfg.onRetry);
-
     st.begun = true;
     _serve = std::move(st);
 
@@ -114,11 +125,56 @@ ProtectedServer::stepRound(ThreadPool *pool)
     hipstr_assert(st.begun);
     if (st.finished)
         return false;
-    if ((!_cfg.shardMode && st.done >= _cfg.requestCount) ||
-        st.roundNo >= kMaxRounds) {
+    if (st.done >= _cfg.requestCount || st.roundNo >= kMaxRounds) {
         st.finished = true;
         return false;
     }
+
+    // Top the intake up to the idle workers: queued retries go first,
+    // then fresh stream ids in order — exactly the requests
+    // serveRound() assigns this round.
+    for (size_t n = st.intake.size(), cap = admissionCapacity();
+         n < cap && st.nextId < _cfg.requestCount; ++n) {
+        st.intake.push_back(drawRequest(_stream, st.nextId++, _cfg.tap,
+                                        _cfg.campaign, _cfg.campaignShard,
+                                        0, st.roundNo));
+    }
+    // Nothing queued, runnable, or parked for later: the run is over.
+    if (st.intake.empty() && st.nextId >= _cfg.requestCount &&
+        _sched.idle() && !_sched.hasConvalescents()) {
+        st.finished = true;
+        return false;
+    }
+
+    serveRound(pool);
+
+    // A retired worker's request goes back to the head of the intake
+    // for another worker.
+    for (const Request &r : st.retried)
+        st.intake.push_front(r);
+    // All workers gone: the remaining stream is unservable.
+    if (liveWorkers() == 0) {
+        st.report.requestsAbandoned = _cfg.requestCount - st.done;
+        st.finished = true;
+    }
+    if (_cfg.campaign != nullptr)
+        _cfg.campaign->commitRound(st.roundNo);
+    // The round completed (even if it finished the run) — let a
+    // recorder flush its per-round journal records and sync point.
+    if (_cfg.tap != nullptr)
+        _cfg.tap->roundEnd(st.roundNo, roundSyncSignature());
+    return !st.finished;
+}
+
+void
+ProtectedServer::serveRound(ThreadPool *pool)
+{
+    ServeState &st = _serve;
+    hipstr_assert(st.begun);
+    st.completed.clear();
+    st.retried.clear();
+    if (liveWorkers() == 0)
+        return;
 
     using telemetry::TraceCategory;
     telemetry::TraceBuffer *tr = _cfg.trace;
@@ -126,39 +182,14 @@ ProtectedServer::stepRound(ThreadPool *pool)
     const double us_per_round = st.usPerRound;
 
     // ---- Assign requests to idle workers in pid order. ----
-    for (size_t w = 0; w < _workers.size(); ++w) {
+    for (size_t w = 0; w < _workers.size() && !st.intake.empty(); ++w) {
         GuestProcess &proc = *_workers[w];
         if (st.retired[w] || st.inflight[w].active ||
             proc.state() != ProcState::Blocked) {
             continue;
         }
-        Request r;
-        if (!st.requeue.empty()) {
-            // Internal requeue (retired-worker retries), or — in
-            // shard mode — the external intake submitExternal() fed.
-            r = st.requeue.front();
-            st.requeue.pop_front();
-        } else if (!_cfg.shardMode && st.nextId < _cfg.requestCount) {
-            uint64_t id = st.nextId++;
-            // Record/replay seam: a replayer supplies the journaled
-            // request; the live stream (a pure function of id) is
-            // drawn otherwise and offered to a recorder.
-            if (_cfg.tap == nullptr ||
-                !_cfg.tap->supplyRequest(id, r)) {
-                r = _stream.make(id);
-                // Adaptive campaign seam: the attacker may turn its
-                // share of the fresh stream into probes — before the
-                // tap journals the draw, so a recording carries the
-                // probes and replays bit-exactly with no engine.
-                if (_cfg.campaign != nullptr)
-                    _cfg.campaign->rewrite(r, _cfg.campaignShard, 0,
-                                           st.roundNo);
-                if (_cfg.tap != nullptr)
-                    _cfg.tap->requestDrawn(r);
-            }
-        } else {
-            continue;
-        }
+        Request r = st.intake.front();
+        st.intake.pop_front();
         proc.beginService(r.costInsts);
         // Stage the request's payload only on first delivery — a
         // retried request already burned its exploit.
@@ -191,21 +222,6 @@ ProtectedServer::stepRound(ThreadPool *pool)
         }
     }
 
-    if (!_cfg.shardMode && _sched.idle() &&
-        !_sched.hasConvalescents()) {
-        // Nothing runnable now or parked for later: either all
-        // requests are done, or the remaining ones cannot be
-        // served (every worker retired).
-        bool any_alive = false;
-        for (size_t w = 0; w < _workers.size(); ++w)
-            any_alive = any_alive || !st.retired[w];
-        if (!any_alive || (st.requeue.empty() &&
-                           st.nextId >= _cfg.requestCount)) {
-            st.finished = true;
-            return false;
-        }
-    }
-
     _sched.round(pool);
     ++st.roundNo;
 
@@ -229,6 +245,24 @@ ProtectedServer::stepRound(ThreadPool *pool)
         }
     }
 
+    // Tell the campaign what worker w's service attempt looks like
+    // from the attacker's seat right now.
+    auto observe = [&](size_t w, attack::ProbeSignal signal) {
+        const InFlight &f = st.inflight[w];
+        attack::ProbeEvent ev;
+        ev.id = f.req.id;
+        ev.signal = signal;
+        ev.shard = _cfg.campaignShard;
+        ev.worker = static_cast<uint32_t>(w);
+        ev.latencyRounds = st.roundNo - f.startRound;
+        ev.payloadDelivered =
+            signal == attack::ProbeSignal::Response && f.req.retries == 0;
+        ev.isaAtEvent = _workers[w]->isa();
+        ev.isaAtAssign = f.assignIsa;
+        ev.generationAtAssign = f.assignGeneration;
+        _cfg.campaign->observe(ev);
+    };
+
     // ---- Poll outcomes in pid order. ----
     for (size_t w = 0; w < _workers.size(); ++w) {
         GuestProcess &proc = *_workers[w];
@@ -244,32 +278,9 @@ ProtectedServer::stepRound(ThreadPool *pool)
                 // (immediate-respawn supervisor configs) still reset
                 // the connection: the respawn-count delta says so.
                 if (!st.inflight[w].crashSeen &&
-                    proc.respawnCount() >
-                        st.inflight[w].assignRespawns) {
-                    attack::ProbeEvent cev;
-                    cev.id = r.id;
-                    cev.signal = attack::ProbeSignal::Crash;
-                    cev.shard = _cfg.campaignShard;
-                    cev.worker = static_cast<uint32_t>(w);
-                    cev.latencyRounds = lat;
-                    cev.isaAtEvent = proc.isa();
-                    cev.isaAtAssign = st.inflight[w].assignIsa;
-                    cev.generationAtAssign =
-                        st.inflight[w].assignGeneration;
-                    _cfg.campaign->observe(cev);
-                }
-                attack::ProbeEvent ev;
-                ev.id = r.id;
-                ev.signal = attack::ProbeSignal::Response;
-                ev.shard = _cfg.campaignShard;
-                ev.worker = static_cast<uint32_t>(w);
-                ev.latencyRounds = lat;
-                ev.payloadDelivered = r.retries == 0;
-                ev.isaAtEvent = proc.isa();
-                ev.isaAtAssign = st.inflight[w].assignIsa;
-                ev.generationAtAssign =
-                    st.inflight[w].assignGeneration;
-                _cfg.campaign->observe(ev);
+                    proc.respawnCount() > st.inflight[w].assignRespawns)
+                    observe(w, attack::ProbeSignal::Crash);
+                observe(w, attack::ProbeSignal::Response);
             }
             st.latencies.push_back(lat);
             ++st.report.requestsServed;
@@ -292,26 +303,14 @@ ProtectedServer::stepRound(ThreadPool *pool)
             }
             st.inflight[w].active = false;
             ++st.done;
-            if (_cfg.shardMode)
-                _cfg.onComplete(r, lat);
+            st.completed.push_back(r);
         } else if (proc.state() == ProcState::Crashed) {
             // The campaign sees every crash as a connection reset,
             // exactly once per service attempt (the worker stays
             // Crashed for every round it convalesces).
             if (_cfg.campaign != nullptr && !st.inflight[w].crashSeen) {
                 st.inflight[w].crashSeen = true;
-                attack::ProbeEvent ev;
-                ev.id = st.inflight[w].req.id;
-                ev.signal = attack::ProbeSignal::Crash;
-                ev.shard = _cfg.campaignShard;
-                ev.worker = static_cast<uint32_t>(w);
-                ev.latencyRounds =
-                    st.roundNo - st.inflight[w].startRound;
-                ev.isaAtEvent = proc.isa();
-                ev.isaAtAssign = st.inflight[w].assignIsa;
-                ev.generationAtAssign =
-                    st.inflight[w].assignGeneration;
-                _cfg.campaign->observe(ev);
+                observe(w, attack::ProbeSignal::Crash);
             }
             if (!_sched.isRetired(&proc))
                 continue;
@@ -319,17 +318,11 @@ ProtectedServer::stepRound(ThreadPool *pool)
             // permanently retired (a worker merely parked in the
             // supervisor's infirmary keeps its request and will
             // finish it after respawning). The retired worker's
-            // request goes back to the head of the queue for
-            // another worker.
+            // request goes back to the feeder for another worker.
             st.retired[w] = true;
             Request r = st.inflight[w].req;
             ++r.retries;
-            // Shard mode: the fleet re-routes (possibly to another
-            // shard); the internal requeue is only for a lone server.
-            if (_cfg.shardMode)
-                _cfg.onRetry(r);
-            else
-                st.requeue.push_front(r);
+            st.retried.push_back(r);
             st.inflight[w].active = false;
             if (traced) {
                 tr->record(
@@ -343,31 +336,6 @@ ProtectedServer::stepRound(ThreadPool *pool)
             }
         }
     }
-
-    // All workers gone: the remaining stream is unservable. In shard
-    // mode the fleet does the abandonment accounting (it holds the
-    // queued requests); the shard just stops stepping.
-    bool any_alive = false;
-    for (size_t w = 0; w < _workers.size(); ++w)
-        any_alive = any_alive || !st.retired[w];
-    if (!any_alive) {
-        if (!_cfg.shardMode)
-            st.report.requestsAbandoned = _cfg.requestCount - st.done;
-        st.finished = true;
-    }
-
-    // Commit the campaign's buffered observations once per round —
-    // only when this server owns the engine (the fleet commits for
-    // its shards, in shard-index order, after all of them stepped).
-    if (_cfg.campaign != nullptr && _cfg.campaignCommits)
-        _cfg.campaign->commitRound(st.roundNo);
-
-    // The round completed (even if it finished the run) — let a
-    // recorder flush its per-round journal records and sync point.
-    if (_cfg.tap != nullptr)
-        _cfg.tap->roundEnd(st.roundNo, roundSyncSignature());
-
-    return !st.finished;
 }
 
 ServerReport
@@ -496,9 +464,6 @@ ProtectedServer::finishRun()
 ServerReport
 ProtectedServer::run(ThreadPool *pool)
 {
-    // A shard never finishes on its own (no stream, no requestCount
-    // stop) — only the fleet's step loop may drive it.
-    hipstr_assert(!_cfg.shardMode);
     beginRun();
     while (stepRound(pool)) {
     }
@@ -506,10 +471,10 @@ ProtectedServer::run(ThreadPool *pool)
 }
 
 void
-ProtectedServer::submitExternal(const Request &r)
+ProtectedServer::submit(const Request &r)
 {
-    hipstr_assert(_cfg.shardMode && _serve.begun);
-    _serve.requeue.push_back(r);
+    hipstr_assert(_serve.begun);
+    _serve.intake.push_back(r);
 }
 
 unsigned
@@ -572,8 +537,8 @@ ProtectedServer::saveCheckpoint(ByteWriter &w) const
     }
     for (size_t i = 0; i < st.retired.size(); ++i)
         w.boolean(st.retired[i]);
-    w.u32(uint32_t(st.requeue.size()));
-    for (const Request &r : st.requeue)
+    w.u32(uint32_t(st.intake.size()));
+    for (const Request &r : st.intake)
         writeRequest(w, r);
     w.u64(st.nextId);
     w.u64(uint64_t(st.latencies.size()));
@@ -623,10 +588,10 @@ ProtectedServer::loadCheckpoint(ByteReader &r)
     st.retired.assign(_workers.size(), false);
     for (size_t i = 0; i < st.retired.size(); ++i)
         st.retired[i] = r.boolean();
-    st.requeue.clear();
+    st.intake.clear();
     uint32_t queued = r.u32();
     for (uint32_t i = 0; i < queued; ++i)
-        st.requeue.push_back(readRequest(r));
+        st.intake.push_back(readRequest(r));
     st.nextId = r.u64();
     st.latencies.clear();
     uint64_t lats = r.u64();

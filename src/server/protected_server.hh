@@ -13,7 +13,6 @@
 
 #include <array>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,12 +37,12 @@ class CampaignEngine;
 
 /**
  * Observation/substitution seam for the record/replay layer
- * (src/replay). The server consults the tap at the three points where
- * its behaviour is not a pure function of the configuration alone:
- * request materialization, and the end of every scheduler round. A
- * null tap (the default) leaves the serve loop exactly as it was —
- * every hook sits on a per-round (not per-instruction) path, so even
- * a non-null tap costs nothing measurable.
+ * (src/replay). Drivers consult it where a run is not a pure function
+ * of its configuration: every request draw (drawRequest()) and the end
+ * of every driver round; the serving core never sees it. A null tap
+ * (the default) leaves the serve loop exactly as it was — every hook
+ * sits on a per-round (not per-instruction) path, so even a non-null
+ * tap costs nothing measurable.
  */
 class ServerTap
 {
@@ -146,43 +145,31 @@ struct ServerConfig
     const FaultPlan *faultPlanOverride = nullptr;
 
     /**
-     * Shard mode (src/fleet): the server is one shard behind the
-     * fleet balancer and serves externally submitted requests only.
-     * stepRound() draws nothing from its own stream and never
-     * self-finishes on requestCount — the owner decides when the run
-     * is over. Completions and retired-worker retries are handed to
-     * the callbacks below instead of the internal requeue, so the
-     * fleet gets full per-request accounting. Both callbacks must be
-     * set when shardMode is true.
-     */
-    bool shardMode = false;
-    /** Shard mode: a request finished after @p latency rounds inside
-     *  this shard. */
-    std::function<void(const Request &, uint64_t latency)> onComplete;
-    /** Shard mode: a worker retired mid-service; its request (retries
-     *  already incremented) goes back to the fleet for re-routing. */
-    std::function<void(const Request &)> onRetry;
-
-    /**
      * Adaptive adversary campaign (src/attack/campaign.hh), or
      * nullptr for an unattacked server. The engine rewrites freshly
      * drawn requests into probes *before* the tap journals them (a
      * recorded campaign run replays bit-exactly with no engine
      * attached — pass nullptr when replaying) and receives probe
-     * outcomes from the poll loop. Not owned.
+     * outcomes from the poll loop. Whoever drives the rounds commits
+     * them: stepRound() for a lone server, the fleet (once per fleet
+     * round, in shard-index order) for its shards. Not owned.
      */
     attack::CampaignEngine *campaign = nullptr;
     /** Shard id this server reports on the campaign's outcome
      *  channel (the fleet sets it; 0 for a lone server). */
     uint32_t campaignShard = 0;
-    /**
-     * Whether this server owns the campaign's per-round commit. True
-     * for a lone server; the fleet clears it on its shards and
-     * commits once per fleet round itself, in shard-index order —
-     * the invariance root under permuteShardStep.
-     */
-    bool campaignCommits = true;
 };
+
+/**
+ * Draw request @p id, the request-draw seam of every driver: a tap may
+ * supply the journaled request; otherwise @p stream makes it, the
+ * campaign may rewrite it into a probe (before the tap journals it, so
+ * recordings replay bit-exactly with no engine) and the tap logs it.
+ */
+Request drawRequest(const RequestStream &stream, uint64_t id,
+                    ServerTap *tap, attack::CampaignEngine *campaign,
+                    uint32_t homeShard, uint64_t session,
+                    uint64_t round);
 
 /** Latency distribution in scheduler rounds. */
 struct LatencySummary
@@ -257,7 +244,10 @@ struct ServerReport
 
 /**
  * The server. Owns the worker pool and the scheduler; the fat binary
- * (shared, immutable) is owned by the caller.
+ * (shared, immutable) is owned by the caller. One serving core
+ * (intake, assign, scheduler round, poll) has two feeders: the fleet
+ * drives serveRound() directly, and stepRound() is the lone server's
+ * stream driver over it.
  */
 class ProtectedServer
 {
@@ -278,13 +268,16 @@ class ProtectedServer
      * introspection server) can pause between rounds, checkpoint, or
      * single-step. @{
      */
-    /** Initialize the serve loop. Call once before stepRound(). */
+    /** Initialize the serve loop. Call once before stepRound() or
+     *  serveRound(). */
     void beginRun();
     /**
-     * Advance one round: assign requests, run one scheduler round,
-     * poll outcomes. Returns false when the run is over (all requests
-     * served, stream abandoned, or the round cap hit) — finishRun()
-     * then produces the report.
+     * The stream driver's round: top the intake up to the idle workers
+     * (queued retries first, then fresh ids), serveRound(), requeue its
+     * retries at the head, commit the campaign round, end the tap
+     * round. Returns false when the run is over (all requests served,
+     * stream abandoned, or the round cap hit) — finishRun() then
+     * produces the report.
      */
     bool stepRound(ThreadPool *pool = nullptr);
     /** Aggregate and return the report of the stepped run. */
@@ -295,24 +288,33 @@ class ProtectedServer
     uint64_t roundNumber() const { return _serve.roundNo; }
 
     /**
-     * Shard-facing surface (shardMode; see ServerConfig). @{
+     * The serving core (the fleet drives it directly). @{
      */
-    /**
-     * Submit one externally routed request. Queued at the shard's
-     * intake tail; the next stepRound() assigns intake to idle
-     * workers in pid order. Submitting more than admissionCapacity()
-     * requests between rounds is allowed but leaves the excess queued
-     * — the fleet's bounded admission queues avoid that by never
-     * over-submitting.
-     */
-    void submitExternal(const Request &r);
+    /** Queue @p r at the intake tail. Requests beyond
+     *  admissionCapacity() wait there for a later round. */
+    void submit(const Request &r);
     /** Workers that would accept a request next round: not retired,
      *  no request in flight, process Blocked awaiting service. */
     unsigned admissionCapacity() const;
     /** Workers not permanently retired. */
     unsigned liveWorkers() const;
-    /** Externally submitted requests not yet assigned to a worker. */
-    size_t queuedExternal() const { return _serve.requeue.size(); }
+    /**
+     * One round: assign intake to idle workers in pid order, run one
+     * scheduler round, poll every worker's outcome. A no-op once every
+     * worker has retired.
+     */
+    void serveRound(ThreadPool *pool = nullptr);
+    /** Requests the last serveRound() completed, in pid order. */
+    const std::vector<Request> &completed() const
+    {
+        return _serve.completed;
+    }
+    /** Requests (retries incremented) whose worker retired in the last
+     *  serveRound(), in pid order; the feeder re-queues them. */
+    const std::vector<Request> &retried() const
+    {
+        return _serve.retried;
+    }
     /** @} */
 
     /**
@@ -326,7 +328,7 @@ class ProtectedServer
 
     /**
      * Checkpoint the complete server mid-run (between rounds): the
-     * serve-loop state (in-flight requests, requeue, latency samples,
+     * serve-loop state (in-flight requests, intake, latency samples,
      * report signature accumulator), the scheduler (queues, outage
      * and infirmary state), and every worker process. Restore into a
      * server constructed from the identical (FatBinary, ServerConfig)
@@ -383,15 +385,20 @@ class ProtectedServer
         ServerReport report; ///< served/abandoned counters accrue here
         std::vector<InFlight> inflight;
         std::vector<bool> retired;
-        std::deque<Request> requeue; ///< from retired workers
-        uint64_t nextId = 0;
+        std::deque<Request> intake; ///< awaiting an idle worker
+        /** The last serveRound()'s outcomes; its driver consumes
+         *  them within the round, so checkpoints skip them. @{ */
+        std::vector<Request> completed;
+        std::vector<Request> retried;
+        /** @} */
+        uint64_t nextId = 0; ///< next stream id (stream driver)
         std::vector<uint64_t> latencies;
         uint64_t sig = kFnvBasis;
         uint64_t roundNo = 0;
         uint64_t done = 0;
         bool wasDegraded = false;
         uint64_t degradedStart = 0;
-        bool finished = false; ///< loop over; stepRound() refuses
+        bool finished = false; ///< stream driver's run is over
         bool begun = false;
         /** Trace plumbing, fixed at beginRun(). @{ */
         bool traced = false;

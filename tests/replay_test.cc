@@ -15,11 +15,13 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "attack/campaign.hh"
 #include "replay/introspect.hh"
 #include "replay/record_replay.hh"
 #include "support/hash.hh"
@@ -352,6 +354,42 @@ TEST_P(ReplayDamage, DamagedJournalsRejectedWithTypedErrors)
                   std::string::npos)
             << why;
     }
+    // A record whose body is longer than its fields: every record
+    // body must be consumed exactly.
+    for (RecordTag tag :
+         { RecordTag::Request, RecordTag::Coin, RecordTag::Fault,
+           RecordTag::Outage, RecordTag::Sync, RecordTag::End }) {
+        std::vector<uint8_t> bad = good;
+        std::vector<size_t> recs = recordOffsets(bad, tag);
+        if (tag == RecordTag::Outage && recs.empty())
+            continue; // no core failed in this run
+        ASSERT_FALSE(recs.empty()) << "tag " << int(tag);
+        size_t off = recs[0];
+        uint32_t len = recordLength(bad, off) + 1;
+        for (int i = 0; i < 4; ++i)
+            bad[off + 1 + i] = uint8_t(len >> (8 * i));
+        bad.insert(bad.begin() + off + 5 + (len - 1), 0);
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::Corrupt)
+            << "tag " << int(tag);
+        EXPECT_NE(why.find("trailing bytes"), std::string::npos) << why;
+    }
+    // A second Request record for an id already drawn.
+    {
+        std::vector<uint8_t> bad = good;
+        std::vector<size_t> reqs =
+            recordOffsets(bad, RecordTag::Request);
+        ASSERT_FALSE(reqs.empty());
+        size_t off = reqs[0];
+        std::vector<uint8_t> rec(bad.begin() + off,
+                                 bad.begin() + off + 5 +
+                                     recordLength(bad, off));
+        bad.insert(bad.begin() + off + rec.size(), rec.begin(),
+                   rec.end());
+        EXPECT_EQ(replayBytes(bad), ReplayErrc::Corrupt);
+        EXPECT_NE(why.find("request ids not increasing"),
+                  std::string::npos)
+            << why;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -403,6 +441,307 @@ TEST(Replay, JournalBytesPinned)
     path = tempPath("replay_pin_fleet.hjl");
     recordFleetRun(httpdBin(), fcfg, path);
     EXPECT_EQ(fileHash(path), 0x3a512e288bb5bb0full);
+}
+
+namespace
+{
+
+/** One single-field change to a hashed config. */
+template <class Cfg>
+struct Perturbation
+{
+    const char *field;
+    std::function<void(Cfg &)> apply;
+};
+
+/** A change to every behavioural field of ServerConfig. */
+std::vector<Perturbation<ServerConfig>>
+serverBehaviouralFields()
+{
+    using P = Perturbation<ServerConfig>;
+    return {
+        P{ "workers", [](ServerConfig &c) { c.workers += 1; } },
+        P{ "cmp.riscCores", [](ServerConfig &c) { c.cmp.riscCores += 1; } },
+        P{ "cmp.ciscCores", [](ServerConfig &c) { c.cmp.ciscCores += 1; } },
+        P{ "sched.quantumInsts",
+           [](ServerConfig &c) { c.sched.quantumInsts += 1; } },
+        P{ "sched.respawnLimit",
+           [](ServerConfig &c) { c.sched.respawnLimit += 1; } },
+        P{ "sched.supervisor.backoffBaseRounds",
+           [](ServerConfig &c) {
+               c.sched.supervisor.backoffBaseRounds += 1;
+           } },
+        P{ "sched.supervisor.backoffCapRounds",
+           [](ServerConfig &c) {
+               c.sched.supervisor.backoffCapRounds += 1;
+           } },
+        P{ "sched.supervisor.quarantineAfter",
+           [](ServerConfig &c) {
+               c.sched.supervisor.quarantineAfter += 1;
+           } },
+        P{ "sched.supervisor.quarantineRounds",
+           [](ServerConfig &c) {
+               c.sched.supervisor.quarantineRounds += 1;
+           } },
+        P{ "requestCount", [](ServerConfig &c) { c.requestCount += 1; } },
+        P{ "seed", [](ServerConfig &c) { c.seed += 1; } },
+        P{ "mix.dynamicFrac",
+           [](ServerConfig &c) { c.mix.dynamicFrac += 0.125; } },
+        P{ "mix.postFrac", [](ServerConfig &c) { c.mix.postFrac += 0.125; } },
+        P{ "mix.malformedFrac",
+           [](ServerConfig &c) { c.mix.malformedFrac += 0.125; } },
+        P{ "mix.attackFrac",
+           [](ServerConfig &c) { c.mix.attackFrac += 0.125; } },
+        P{ "costs.staticInsts",
+           [](ServerConfig &c) { c.costs.staticInsts += 1; } },
+        P{ "costs.dynamicInsts",
+           [](ServerConfig &c) { c.costs.dynamicInsts += 1; } },
+        P{ "costs.postInsts", [](ServerConfig &c) { c.costs.postInsts += 1; } },
+        P{ "costs.malformedInsts",
+           [](ServerConfig &c) { c.costs.malformedInsts += 1; } },
+        P{ "costs.attackInsts",
+           [](ServerConfig &c) { c.costs.attackInsts += 1; } },
+        P{ "psr.optLevel",
+           [](ServerConfig &c) { c.hipstr.psr.optLevel -= 1; } },
+        P{ "psr.randSpaceBytes",
+           [](ServerConfig &c) { c.hipstr.psr.randSpaceBytes += 1; } },
+        P{ "psr.randomizeCallingConvention",
+           [](ServerConfig &c) {
+               c.hipstr.psr.randomizeCallingConvention = false;
+           } },
+        P{ "psr.randomizeRegisters",
+           [](ServerConfig &c) { c.hipstr.psr.randomizeRegisters = false; } },
+        P{ "psr.relocateRegsToMemory",
+           [](ServerConfig &c) { c.hipstr.psr.relocateRegsToMemory = false; } },
+        P{ "psr.randomizeSlots",
+           [](ServerConfig &c) { c.hipstr.psr.randomizeSlots = false; } },
+        P{ "psr.codeCacheBytes",
+           [](ServerConfig &c) { c.hipstr.psr.codeCacheBytes += 1; } },
+        P{ "psr.ratEntries",
+           [](ServerConfig &c) { c.hipstr.psr.ratEntries += 1; } },
+        P{ "psr.regCacheEntries",
+           [](ServerConfig &c) { c.hipstr.psr.regCacheEntries += 1; } },
+        P{ "psr.maxSuperblockBlocks",
+           [](ServerConfig &c) { c.hipstr.psr.maxSuperblockBlocks += 1; } },
+        P{ "psr.traceHotThreshold",
+           [](ServerConfig &c) { c.hipstr.psr.traceHotThreshold += 1; } },
+        P{ "psr.traceMaxBlocks",
+           [](ServerConfig &c) { c.hipstr.psr.traceMaxBlocks += 1; } },
+        P{ "psr.isomeronMode",
+           [](ServerConfig &c) { c.hipstr.psr.isomeronMode = true; } },
+        P{ "psr.seed", [](ServerConfig &c) { c.hipstr.psr.seed += 1; } },
+        P{ "hipstr.diversificationProbability",
+           [](ServerConfig &c) {
+               c.hipstr.diversificationProbability = 0.5;
+           } },
+        P{ "hipstr.migrateOnSecurityEvents",
+           [](ServerConfig &c) {
+               c.hipstr.migrateOnSecurityEvents = false;
+           } },
+        P{ "hipstr.phaseIntervalInsts",
+           [](ServerConfig &c) { c.hipstr.phaseIntervalInsts += 1; } },
+        P{ "hipstr.migrationLogCap",
+           [](ServerConfig &c) { c.hipstr.migrationLogCap += 1; } },
+        P{ "hipstr.startIsa",
+           [](ServerConfig &c) { c.hipstr.startIsa = IsaKind::Risc; } },
+        P{ "hipstr.policySeed",
+           [](ServerConfig &c) { c.hipstr.policySeed += 1; } },
+        P{ "outputCap", [](ServerConfig &c) { c.outputCap += 1; } },
+        P{ "verifyOutput", [](ServerConfig &c) { c.verifyOutput = false; } },
+        P{ "faults.enabled", [](ServerConfig &c) { c.faults.enabled = true; } },
+        P{ "faults.seed", [](ServerConfig &c) { c.faults.seed += 1; } },
+        P{ "faults.quantumFaultRate",
+           [](ServerConfig &c) { c.faults.quantumFaultRate += 0.125; } },
+        P{ "faults.coreFailRate",
+           [](ServerConfig &c) { c.faults.coreFailRate += 0.125; } },
+        P{ "faults.outageRoundsMin",
+           [](ServerConfig &c) { c.faults.outageRoundsMin += 1; } },
+        P{ "faults.outageRoundsMax",
+           [](ServerConfig &c) { c.faults.outageRoundsMax += 1; } },
+        P{ "faults.wedgeQuantaMin",
+           [](ServerConfig &c) { c.faults.wedgeQuantaMin += 1; } },
+        P{ "faults.wedgeQuantaMax",
+           [](ServerConfig &c) { c.faults.wedgeQuantaMax += 1; } },
+        P{ "faults.scriptedOutageIsa",
+           [](ServerConfig &c) {
+               c.faults.scriptedOutageIsa = IsaKind::Cisc;
+           } },
+        P{ "faults.scriptedOutageRound",
+           [](ServerConfig &c) { c.faults.scriptedOutageRound += 1; } },
+        P{ "faults.scriptedOutageRounds",
+           [](ServerConfig &c) { c.faults.scriptedOutageRounds += 1; } },
+        P{ "watchdogQuanta", [](ServerConfig &c) { c.watchdogQuanta += 1; } },
+    };
+}
+
+/** Observer objects the observer perturbations point at. */
+struct Observers
+{
+    telemetry::TraceBuffer trace{ 16 };
+    telemetry::MetricRegistry metrics;
+    ServerTap tap;
+    FaultPlan plan{ FaultPlanConfig{} };
+    attack::CampaignEngine campaign{ attack::CampaignConfig{} };
+};
+
+/** A change to every observer field of ServerConfig. */
+std::vector<Perturbation<ServerConfig>>
+serverObserverFields(Observers &o)
+{
+    using P = Perturbation<ServerConfig>;
+    return {
+        P{ "trace", [&o](ServerConfig &c) { c.trace = &o.trace; } },
+        P{ "metrics", [&o](ServerConfig &c) { c.metrics = &o.metrics; } },
+        P{ "tap", [&o](ServerConfig &c) { c.tap = &o.tap; } },
+        P{ "faultPlanOverride",
+           [&o](ServerConfig &c) { c.faultPlanOverride = &o.plan; } },
+        P{ "campaign", [&o](ServerConfig &c) { c.campaign = &o.campaign; } },
+        P{ "campaignShard", [](ServerConfig &c) { c.campaignShard = 3; } },
+        P{ "psr.traceMode",
+           [](ServerConfig &c) {
+               c.hipstr.psr.traceMode = PsrConfig::TraceMode::Off;
+           } },
+        P{ "psr.jitMode",
+           [](ServerConfig &c) {
+               c.hipstr.psr.jitMode = PsrConfig::JitMode::Off;
+           } },
+        P{ "psr.jitArenaBytes",
+           [](ServerConfig &c) { c.hipstr.psr.jitArenaBytes += 1; } },
+    };
+}
+
+} // namespace
+
+// Config hashes classify every field: a change to any behavioural
+// field changes the hash, so a journal recorded under it is refused
+// with ConfigMismatch, and a change to any observer field does not.
+// The default configurations hash to constants pinned before the
+// hashes were derived from the per-struct field lists.
+TEST(ConfigHash, EveryFieldClassified)
+{
+    const uint64_t server = serverConfigHash(ServerConfig{});
+    const uint64_t fleet = fleetConfigHash(FleetConfig{});
+    EXPECT_EQ(server, 0xaec8e72c8d1f898full);
+    EXPECT_EQ(fleet, 0xae4c8fd3b079f7a0ull);
+
+    Observers obs;
+    for (const auto &p : serverBehaviouralFields()) {
+        ServerConfig c;
+        p.apply(c);
+        EXPECT_NE(serverConfigHash(c), server) << p.field;
+        // Through the fleet's shard template: the fleet derives each
+        // shard's request count and seed, so those two alone do not
+        // reach the fleet hash.
+        FleetConfig f;
+        p.apply(f.server);
+        const std::string name = p.field;
+        if (name == "requestCount" || name == "seed")
+            EXPECT_EQ(fleetConfigHash(f), fleet) << "server." << name;
+        else
+            EXPECT_NE(fleetConfigHash(f), fleet) << "server." << name;
+    }
+    for (const auto &p : serverObserverFields(obs)) {
+        ServerConfig c;
+        p.apply(c);
+        EXPECT_EQ(serverConfigHash(c), server) << p.field;
+        FleetConfig f;
+        p.apply(f.server);
+        EXPECT_EQ(fleetConfigHash(f), fleet) << "server." << p.field;
+    }
+
+    using P = Perturbation<FleetConfig>;
+    const std::vector<P> behavioural = {
+        P{ "shards", [](FleetConfig &c) { c.shards += 1; } },
+        P{ "requestCount", [](FleetConfig &c) { c.requestCount += 1; } },
+        P{ "seed", [](FleetConfig &c) { c.seed += 1; } },
+        P{ "mix.dynamicFrac",
+           [](FleetConfig &c) { c.mix.dynamicFrac += 0.125; } },
+        P{ "mix.postFrac", [](FleetConfig &c) { c.mix.postFrac += 0.125; } },
+        P{ "mix.malformedFrac",
+           [](FleetConfig &c) { c.mix.malformedFrac += 0.125; } },
+        P{ "mix.attackFrac",
+           [](FleetConfig &c) { c.mix.attackFrac += 0.125; } },
+        P{ "costs.staticInsts",
+           [](FleetConfig &c) { c.costs.staticInsts += 1; } },
+        P{ "costs.dynamicInsts",
+           [](FleetConfig &c) { c.costs.dynamicInsts += 1; } },
+        P{ "costs.postInsts", [](FleetConfig &c) { c.costs.postInsts += 1; } },
+        P{ "costs.malformedInsts",
+           [](FleetConfig &c) { c.costs.malformedInsts += 1; } },
+        P{ "costs.attackInsts",
+           [](FleetConfig &c) { c.costs.attackInsts += 1; } },
+        P{ "sessions", [](FleetConfig &c) { c.sessions += 1; } },
+        P{ "vnodesPerShard", [](FleetConfig &c) { c.vnodesPerShard += 1; } },
+        P{ "queueCap", [](FleetConfig &c) { c.queueCap += 1; } },
+        P{ "sloRounds", [](FleetConfig &c) { c.sloRounds += 1; } },
+        P{ "batchSize", [](FleetConfig &c) { c.batchSize += 1; } },
+        P{ "workStealing", [](FleetConfig &c) { c.workStealing = false; } },
+    };
+    for (const auto &p : behavioural) {
+        FleetConfig c;
+        p.apply(c);
+        EXPECT_NE(fleetConfigHash(c), fleet) << p.field;
+    }
+    const std::vector<P> observers = {
+        P{ "keepOutcomes", [](FleetConfig &c) { c.keepOutcomes = true; } },
+        P{ "permuteShardStep",
+           [](FleetConfig &c) { c.permuteShardStep = true; } },
+        P{ "trace", [&obs](FleetConfig &c) { c.trace = &obs.trace; } },
+        P{ "metrics", [&obs](FleetConfig &c) { c.metrics = &obs.metrics; } },
+        P{ "metricsPrefix",
+           [](FleetConfig &c) { c.metricsPrefix = "other"; } },
+        P{ "tap", [&obs](FleetConfig &c) { c.tap = &obs.tap; } },
+        P{ "shardPlanOverrides",
+           [&obs](FleetConfig &c) {
+               c.shardPlanOverrides.assign(c.shards, &obs.plan);
+           } },
+        P{ "campaign", [&obs](FleetConfig &c) { c.campaign = &obs.campaign; } },
+    };
+    for (const auto &p : observers) {
+        FleetConfig c;
+        p.apply(c);
+        EXPECT_EQ(fleetConfigHash(c), fleet) << p.field;
+    }
+}
+
+namespace
+{
+
+/** Open file descriptors of this process (0 without procfs). */
+size_t
+openFdCount()
+{
+    std::error_code ec;
+    size_t n = 0;
+    for (auto it = std::filesystem::directory_iterator("/proc/self/fd", ec);
+         !ec && it != std::filesystem::directory_iterator(); ++it)
+        ++n;
+    return n;
+}
+
+} // namespace
+
+// A checkpoint that cannot be written in full is reported as an error
+// and leaves no file descriptor behind: a two-worker checkpoint is far
+// larger than stdio's buffer, so the write to /dev/full fails short.
+TEST(Introspect, FailedCheckpointClosesItsFile)
+{
+    if (!std::filesystem::exists("/dev/full") ||
+        !std::filesystem::exists("/proc/self/fd"))
+        GTEST_SKIP() << "needs /dev/full and /proc/self/fd";
+    ServerConfig cfg = smallConfig();
+    cfg.workers = 2;
+    ProtectedServer srv(httpdBin(), cfg);
+    srv.beginRun();
+    ASSERT_TRUE(srv.stepRound());
+    IntrospectionServer intro(srv);
+
+    const size_t before = openFdCount();
+    for (int i = 0; i < 3; ++i) {
+        std::string resp = intro.handleLine("checkpoint /dev/full");
+        EXPECT_EQ(resp.rfind("err short write", 0), 0u) << resp;
+    }
+    EXPECT_EQ(openFdCount(), before);
 }
 
 // Checkpoint round-trip property: for every workload, both start

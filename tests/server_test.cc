@@ -588,3 +588,78 @@ TEST(ProtectedServer, CheckpointRestoreContinuesByteIdentically)
     EXPECT_EQ(rb.totalGuestInsts, ra.totalGuestInsts);
     EXPECT_EQ(rb.latency.p95Rounds, ra.latency.p95Rounds);
 }
+
+/** One worker-loss scenario of the lone server's serve loop. */
+struct RetireCase
+{
+    const char *name;
+    uint32_t respawnLimit;
+    uint32_t retiredWorkers;
+    uint64_t served;
+    uint64_t abandoned;
+    uint64_t signature; ///< ServerReport::signature, pinned
+};
+
+void
+PrintTo(const RetireCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class ServerRetire : public ::testing::TestWithParam<RetireCase>
+{
+};
+
+// Worker loss on a lone server: malformed requests crash workers, a
+// worker past its respawn limit retires, and its in-flight request
+// goes back to the head of the intake for another worker. With enough
+// survivors every request is still served; once every worker has
+// retired the rest of the stream is abandoned, and the serving core
+// refuses further rounds (a fleet keeps offering them to a dead
+// shard). Either way each request is accounted exactly once, and the
+// run is pinned.
+TEST_P(ServerRetire, RetireRequeueAbandon)
+{
+    const RetireCase &c = GetParam();
+    static const FatBinary bin = [] {
+        WorkloadConfig wcfg;
+        wcfg.scale = 2;
+        return compileModule(buildWorkload("httpd", wcfg));
+    }();
+    ServerConfig cfg;
+    cfg.workers = 8;
+    cfg.requestCount = 200;
+    cfg.mix.malformedFrac = 0.08;
+    cfg.sched.respawnLimit = c.respawnLimit;
+
+    ProtectedServer srv(bin, cfg);
+    srv.beginRun();
+    while (srv.stepRound()) {
+    }
+    if (srv.liveWorkers() == 0) {
+        const uint64_t round = srv.roundNumber();
+        const uint64_t sync = srv.roundSyncSignature();
+        const uint64_t schedRounds = srv.scheduler().stats().rounds;
+        srv.serveRound();
+        EXPECT_EQ(srv.roundNumber(), round);
+        EXPECT_EQ(srv.roundSyncSignature(), sync);
+        EXPECT_EQ(srv.scheduler().stats().rounds, schedRounds);
+    }
+    ServerReport r = srv.finishRun();
+    EXPECT_EQ(r.retiredWorkers, c.retiredWorkers);
+    EXPECT_EQ(r.requestsServed, c.served);
+    EXPECT_EQ(r.requestsAbandoned, c.abandoned);
+    EXPECT_EQ(r.requestsServed + r.requestsAbandoned, cfg.requestCount);
+    EXPECT_EQ(r.signature, c.signature);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WorkerLoss, ServerRetire,
+    ::testing::Values(
+        RetireCase{ "SurvivorsServeAll", 3, 4, 200, 0,
+                    0xf5c30a2ae05f6556ull },
+        RetireCase{ "AllRetiredAbandonRest", 2, 8, 138, 62,
+                    0xdf4c81b7eccd0817ull }),
+    [](const ::testing::TestParamInfo<RetireCase> &info) {
+        return std::string(info.param.name);
+    });
