@@ -96,9 +96,10 @@ checkTelemetryZeroCost()
     // deterministic summary.
     for (const char *key :
          { "trace.formed", "trace.follows", "trace.invalidated",
-           "trace.sideExits", "jit.compiledTraces", "jit.codeBytes",
-           "jit.executions", "jit.sideExits", "jit.bailouts",
-           "jit.invalidated" })
+           "trace.sideExits", "trace.execFallbacks",
+           "jit.compiledTraces", "jit.codeBytes", "jit.executions",
+           "jit.sideExits", "jit.bailouts", "jit.invalidated",
+           "jit.execFallbacks" })
         benchHostMetric(key, double(trace_reg.counter(key).value()));
     if (masked_rate < 0.5 * off_rate) {
         hipstr_fatal("masked telemetry slowed steady-state dispatch: "

@@ -241,12 +241,13 @@ def check_campaign_pareto(path, metrics):
 FIG9_JIT_KEYS = (
     "jit.compiledTraces", "jit.codeBytes", "jit.executions",
     "jit.sideExits", "jit.bailouts", "jit.invalidated",
+    "jit.execFallbacks",
 )
 
 
 def check_fig9_host(path, doc):
     """BENCH_fig9_performance_host.json carries the trace-JIT
-    observability counters next to the wall-clock rates. All six are
+    observability counters next to the wall-clock rates. All seven are
     required (an HIPSTR_JIT=0 run publishes zeros); when the JIT did
     run, the counters must be internally consistent: every execution
     comes from a compiled trace, compiled traces occupy code bytes,

@@ -192,22 +192,23 @@ class Memory
     /** @} */
 
     /**
-     * Span hint: a word-access fast path for loops whose addresses
+     * Span hint: an access fast path for loops whose addresses
      * cluster inside one permission span (stack frames, the relocated
      * register slots, a hot array). The hint caches the inclusive
-     * range of base addresses for which a 4-byte access is known
-     * legal, so a hit replaces the permAt binary search with one range
-     * compare. Hints hold no pointers and must be discarded (or simply
-     * not reused) across setRegion calls; the superblock trace
+     * range of base addresses for which an access of one width is
+     * known legal, so a hit replaces the permAt binary search with one
+     * range compare. Hints hold no pointers and must be discarded (or
+     * simply not reused) across setRegion calls; the superblock trace
      * executor creates fresh hints per trace run and traces never
      * reach setRegion (syscalls end a trace). A hinted access has
-     * byte-identical semantics to tryRead32/tryWrite32, including the
-     * first-byte permission rule and write journaling.
+     * byte-identical semantics to the matching tryRead/tryWrite,
+     * including the first-byte permission rule and write journaling.
      *
-     * A hint is direction-specific: the cached window proves only the
-     * permission of the access that established it, so a hint must be
-     * used exclusively with tryRead32Span or exclusively with
-     * tryWrite32Span, never both. @{
+     * A hint is direction- and width-specific: the cached window
+     * proves only the permission and the address-space bound of the
+     * access that established it, so a hint must be used exclusively
+     * with one of tryRead32Span, tryWrite32Span, tryRead8Span and
+     * tryWrite8Span, never two of them. @{
      */
     struct SpanHint
     {
@@ -223,7 +224,7 @@ class Memory
         }
         if (!checkOk(addr, 4, PermR))
             return false;
-        refillHint(h, addr);
+        refillHint(h, addr, 4);
         __builtin_memcpy(&v, &_bytes[addr], 4);
         return true;
     }
@@ -238,31 +239,71 @@ class Memory
         }
         if (!checkOk(addr, 4, PermW))
             return false;
-        refillHint(h, addr);
+        refillHint(h, addr, 4);
         if (_journaling)
             journalBytes(addr, 4);
         __builtin_memcpy(&_bytes[addr], &v, 4);
         return true;
     }
+
+    bool tryRead8Span(SpanHint &h, Addr addr, uint8_t &v) const noexcept
+    {
+        if (addr >= h.lo && addr <= h.hi) [[likely]] {
+            v = _bytes[addr];
+            return true;
+        }
+        if (!checkOk(addr, 1, PermR))
+            return false;
+        refillHint(h, addr, 1);
+        v = _bytes[addr];
+        return true;
+    }
+
+    bool tryWrite8Span(SpanHint &h, Addr addr, uint8_t v) noexcept
+    {
+        if (addr >= h.lo && addr <= h.hi) [[likely]] {
+            if (_journaling) [[unlikely]]
+                journalBytes(addr, 1);
+            _bytes[addr] = v;
+            return true;
+        }
+        if (!checkOk(addr, 1, PermW))
+            return false;
+        refillHint(h, addr, 1);
+        if (_journaling)
+            journalBytes(addr, 1);
+        _bytes[addr] = v;
+        return true;
+    }
     /** @} */
 
     /**
-     * Validate a 4-byte access at @p addr for @p needed and refill
-     * @p h around it *without* performing the access. This is the
-     * trace JIT's hint-miss probe: it must stay free of guest-visible
-     * effects so the op that missed can be retried from its start
-     * (read-modify-write ops would otherwise double-apply).
-     * Semantically the miss path of tryRead32Span/tryWrite32Span
-     * minus the data move.
+     * Validate a 4-byte (probe32Span) or 1-byte (probe8Span) access
+     * at @p addr for @p needed and refill @p h around it *without*
+     * performing the access. This is the trace JIT's hint-miss probe:
+     * it must stay free of guest-visible effects so the op that missed
+     * can be retried from its start (read-modify-write ops would
+     * otherwise double-apply). Semantically the miss path of the
+     * matching try*Span accessor minus the data move. @{
      */
     bool
     probe32Span(SpanHint &h, Addr addr, Perm needed) const noexcept
     {
         if (!checkOk(addr, 4, needed))
             return false;
-        refillHint(h, addr);
+        refillHint(h, addr, 4);
         return true;
     }
+
+    bool
+    probe8Span(SpanHint &h, Addr addr, Perm needed) const noexcept
+    {
+        if (!checkOk(addr, 1, needed))
+            return false;
+        refillHint(h, addr, 1);
+        return true;
+    }
+    /** @} */
 
     /**
      * True iff every byte of [addr, addr+len) is inside the address
@@ -342,12 +383,12 @@ class Memory
 
     /**
      * Point @p h at the widest window around @p addr for which a
-     * 4-byte access with the just-verified permission stays legal:
-     * base addresses within the containing span whose first byte rule
-     * and the address-space bound both hold. Caller has already passed
-     * checkOk(addr, 4, perm).
+     * @p len-byte access with the just-verified permission stays
+     * legal: base addresses within the containing span whose first
+     * byte rule and the address-space bound (addr + len <= kMemEnd)
+     * both hold. Caller has already passed checkOk(addr, len, perm).
      */
-    void refillHint(SpanHint &h, Addr addr) const noexcept
+    void refillHint(SpanHint &h, Addr addr, unsigned len) const noexcept
     {
         size_t lo = 0, hi = _spans.size() - 1;
         while (lo < hi) {
@@ -359,7 +400,7 @@ class Memory
         }
         h.lo = lo == 0 ? 0 : _spans[lo - 1].end;
         Addr span_last = _spans[lo].end - 1;
-        Addr bound_last = layout::kMemEnd - 4;
+        Addr bound_last = layout::kMemEnd - len;
         h.hi = span_last < bound_last ? span_last : bound_last;
     }
 

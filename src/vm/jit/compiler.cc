@@ -27,8 +27,6 @@ constexpr uint8_t kAllocatable[] = {RBP, RSI, RDI,
 constexpr size_t kNumAllocatable =
     sizeof(kAllocatable) / sizeof(kAllocatable[0]);
 
-constexpr uint8_t kNoHostReg = 0xff;
-
 constexpr uint32_t kExitSide = kJitExitSide;
 constexpr uint32_t kExitEnd = kJitExitEnd;
 constexpr uint32_t kExitBudget = kJitExitBudget;
@@ -106,6 +104,8 @@ regUse(TraceH h)
       case TraceH::MovRM: return {true, true, false};
       case TraceH::MovMR: return {true, true, false};
       case TraceH::MovMI: return {true, false, false};
+      case TraceH::MovbRM: return {true, true, false};
+      case TraceH::MovbMR: return {true, true, false};
       case TraceH::Lea: return {true, true, false};
       case TraceH::MovHi: return {true, false, false};
       case TraceH::CmpRR: return {false, true, true};
@@ -188,6 +188,20 @@ class TraceCompiler
 
     int exitBlob(uint32_t code, uint32_t opIdx);
     int missBlob(uint32_t opIdx, int retryLabel);
+
+    /**
+     * Open memory op @p idx at a fresh retry label (a hint miss calls
+     * the probe, then re-runs the op from there) and return its miss
+     * blob's label.
+     */
+    int
+    beginMemOp(uint32_t idx)
+    {
+        int retry = _em.newLabel();
+        _em.bind(retry);
+        _eflagsLive = false;
+        return missBlob(idx, retry);
+    }
 
     void flushRegs();
     void reloadRegs();
@@ -354,40 +368,12 @@ class TraceCompiler
 void
 TraceCompiler::allocateRegisters()
 {
-    // One host register per guest register for the *whole* trace:
-    // every helper-call site flushes and reloads the full allocated
-    // set, so a host register that served two disjoint guest live
-    // ranges would flush the wrong value into the expired range's
-    // home. With eight allocatable hosts against the handful of
-    // registers a hot loop actually touches, whole-trace assignment
-    // of the most-used guests loses nothing.
-    std::array<uint32_t, 16> uses{};
-    for (const TraceOp &op : _tr.ops) {
-        RegUse u = regUse(op.h);
-        if (u.a)
-            ++uses[op.a];
-        if (u.b)
-            ++uses[op.b];
-        if (u.c)
-            ++uses[op.c];
-    }
-    std::array<uint8_t, 16> order{};
-    for (uint8_t g = 0; g < 16; ++g)
-        order[g] = g;
-    std::sort(order.begin(), order.end(),
-              [&](uint8_t a, uint8_t b) {
-                  if (uses[a] != uses[b])
-                      return uses[a] > uses[b];
-                  return a < b;
-              });
-    _hostOf.fill(kNoHostReg);
-    for (size_t i = 0; i < kNumAllocatable; ++i) {
-        uint8_t g = order[i];
-        if (uses[g] == 0)
-            break;
-        _hostOf[g] = kAllocatable[i];
-        _allocated.push_back(g);
-    }
+    _hostOf = hostRegisterMap(_tr);
+    // Flush/reload order: allocation rank (kAllocatable order).
+    for (uint8_t h : kAllocatable)
+        for (uint8_t g = 0; g < 16; ++g)
+            if (_hostOf[g] == h)
+                _allocated.push_back(g);
 }
 
 int
@@ -557,12 +543,8 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             return true;
         }
 
-        // Memory shapes: the op starts at a retry label (hint misses
-        // call the probe, then re-run the op from here).
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        // Memory shapes.
+        int miss = beginMemOp(idx);
         if (shape == 2) { // a <- b op [R(c)+imm2]
             emitAddr(op.c, op.imm2);
             emitHintCheck(idx, miss);
@@ -673,10 +655,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         return true;
 
       case TraceH::MovRM: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.b, op.imm);
         emitHintCheck(idx, miss);
         if (isAlloc(op.a)) {
@@ -689,10 +668,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       }
 
       case TraceH::MovMR: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.a, op.imm);
         emitHintCheck(idx, miss);
         uint8_t src = readReg(op.b, RAX);
@@ -701,13 +677,32 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       }
 
       case TraceH::MovMI: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.a, op.imm);
         emitHintCheck(idx, miss);
         _em.movMI32(guestMemAtRdx(), op.imm2);
+        return true;
+      }
+
+      case TraceH::MovbRM: {
+        int miss = beginMemOp(idx);
+        emitAddr(op.b, op.imm);
+        emitHintCheck(idx, miss);
+        if (isAlloc(op.a)) {
+            _em.movzxRM8(host(op.a), guestMemAtRdx());
+        } else {
+            _em.movzxRM8(RAX, guestMemAtRdx());
+            _em.movMR32(home(op.a), RAX);
+        }
+        return true;
+      }
+
+      case TraceH::MovbMR: {
+        int miss = beginMemOp(idx);
+        emitAddr(op.a, op.imm);
+        emitHintCheck(idx, miss);
+        uint8_t src = readReg(op.b, RAX);
+        _em.movMR8(guestMemAtRdx(), src);
         return true;
       }
 
@@ -777,10 +772,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
 
       case TraceH::CmpRM:
       case TraceH::TestRM: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.c, op.imm2);
         emitHintCheck(idx, miss);
         _em.movRM32(RCX, guestMemAtRdx()); // v
@@ -797,10 +789,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       case TraceH::CmpMI:
       case TraceH::TestMR:
       case TraceH::TestMI: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.b, op.imm);
         emitHintCheck(idx, miss);
         _em.movRM32(RAX, guestMemAtRdx()); // v
@@ -825,10 +814,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
 
       case TraceH::PushR:
       case TraceH::PushI: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.a, static_cast<uint32_t>(-4)); // sp - kWordSize
         emitHintCheck(idx, miss);
         if (h == TraceH::PushR) {
@@ -842,10 +828,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       }
 
       case TraceH::PopR: {
-        int retry = _em.newLabel();
-        _em.bind(retry);
-        int miss = missBlob(idx, retry);
-        _eflagsLive = false;
+        int miss = beginMemOp(idx);
         emitAddr(op.a, 0);
         emitHintCheck(idx, miss);
         _em.movRM32(RAX, guestMemAtRdx()); // v
@@ -1027,6 +1010,46 @@ TraceCompiler::compile()
 }
 
 } // namespace
+
+std::array<uint8_t, 16>
+hostRegisterMap(const SuperTrace &tr)
+{
+    // One host register per guest register for the *whole* trace:
+    // every helper-call site flushes and reloads the full allocated
+    // set, so a host register that served two disjoint guest live
+    // ranges would flush the wrong value into the expired range's
+    // home. With seven allocatable hosts against the handful of
+    // registers a hot loop actually touches, whole-trace assignment
+    // of the most-used guests loses little.
+    std::array<uint32_t, 16> uses{};
+    for (const TraceOp &op : tr.ops) {
+        RegUse u = regUse(op.h);
+        if (u.a)
+            ++uses[op.a];
+        if (u.b)
+            ++uses[op.b];
+        if (u.c)
+            ++uses[op.c];
+    }
+    std::array<uint8_t, 16> order{};
+    for (uint8_t g = 0; g < 16; ++g)
+        order[g] = g;
+    std::sort(order.begin(), order.end(),
+              [&](uint8_t a, uint8_t b) {
+                  if (uses[a] != uses[b])
+                      return uses[a] > uses[b];
+                  return a < b;
+              });
+    std::array<uint8_t, 16> host_of;
+    host_of.fill(kNoHostReg);
+    for (size_t i = 0; i < kNumAllocatable; ++i) {
+        uint8_t g = order[i];
+        if (uses[g] == 0)
+            break;
+        host_of[g] = kAllocatable[i];
+    }
+    return host_of;
+}
 
 bool
 compileTrace(const SuperTrace &tr, const CompileLayout &lay,

@@ -27,6 +27,7 @@
 #ifndef HIPSTR_VM_JIT_COMPILER_HH
 #define HIPSTR_VM_JIT_COMPILER_HH
 
+#include <array>
 #include <cstdint>
 
 #include "vm/jit/emitter.hh"
@@ -85,6 +86,18 @@ struct CompileLayout
     const void *segCallHelper = nullptr;
     /** @} */
 };
+
+/** hostRegisterMap() value for a guest register left in its home. */
+constexpr uint8_t kNoHostReg = 0xff;
+
+/**
+ * The whole-trace register assignment compileTrace() uses for @p tr:
+ * entry g is the host register that holds guest register g for the
+ * whole trace, or kNoHostReg when g lives in its MachineState home.
+ * The most-used guest registers take rbp, rsi, rdi, r8-r11 in that
+ * order (ties to the lower guest index).
+ */
+std::array<uint8_t, 16> hostRegisterMap(const SuperTrace &tr);
 
 /**
  * Compile @p tr into @p em. Returns false when the trace uses a

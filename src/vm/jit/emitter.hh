@@ -4,7 +4,8 @@
  *
  * Covers exactly the instruction forms the trace compiler lowers to:
  * 32-bit mov/lea/ALU/cmp/test in register and [base+disp] memory
- * forms, [base+index] loads/stores against the guest-memory base,
+ * forms, [base+index] loads/stores (32-bit, zero-extending byte loads
+ * and byte stores) against the guest-memory base,
  * shifts by immediate and by cl, imul/div, setcc to a memory byte,
  * 64-bit counter arithmetic, push/pop/call/ret, and rel32 branches
  * through a label/fixup table. Nothing here is clever: each method
@@ -154,6 +155,19 @@ class Emitter
         u8(0x0f);
         u8(0xb6);
         modRmMem(dst, m);
+    }
+    /**
+     * mov byte [mem], r8 (low byte of @p src). Always emits a REX
+     * prefix: without one, encodings 4-7 name ah/ch/dh/bh instead of
+     * spl/bpl/sil/dil, so a guest value allocated to rbp/rsi/rdi
+     * would store the wrong byte.
+     */
+    void
+    movMR8(const Mem &m, uint8_t src)
+    {
+        rex(0, src, m.hasIndex ? m.index : 0, m.base);
+        u8(0x88);
+        modRmMem(src, m);
     }
     /** lea r32, [mem] (address math mod 2^32, flags untouched) */
     void leaRM32(uint8_t dst, const Mem &m) { rm(0x8d, dst, m, 0); }

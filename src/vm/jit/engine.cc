@@ -164,6 +164,12 @@ TraceJit::memProbe(JitFrame *f, uint32_t op_idx)
       case TraceH::MovMI:
         ok = mem.probe32Span(h, regs[op.a] + op.imm, PermW);
         break;
+      case TraceH::MovbRM:
+        ok = mem.probe8Span(h, regs[op.b] + op.imm, PermR);
+        break;
+      case TraceH::MovbMR:
+        ok = mem.probe8Span(h, regs[op.a] + op.imm, PermW);
+        break;
       case TraceH::CmpRM:
       case TraceH::TestRM:
         ok = mem.probe32Span(h, regs[op.c] + op.imm2, PermR);
@@ -209,6 +215,7 @@ TraceJit::execOp(JitFrame *f, uint32_t op_idx)
 {
     PsrVm &vm = *f->vm;
     const TraceOp &op = f->trace->ops[op_idx];
+    ++vm._jit.stats.execFallbacks;
     ExecStatus st =
         executeInstInline(op.ti->mi, vm.state, vm._mem, &vm._os);
     if (st == ExecStatus::Continue) [[likely]]

@@ -7,7 +7,7 @@
  * Execution contract: compiled code receives one JitFrame and runs
  * under four pinned registers (r12 = &VmStats, r13 = frame,
  * r14 = guest-memory base, r15 = &state.regs[0]). Rare or complex
- * operations — span-hint misses, generic Exec fallbacks, SegCall
+ * operations — span-hint misses, cold generic Exec fallbacks, SegCall
  * linkage — leave JIT code through extern "C" helpers that flush the
  * allocated guest registers to their MachineState homes first, so
  * C++ always sees (and may mutate) architectural state. On return
@@ -88,6 +88,8 @@ struct JitStats
                                  ///< declined)
     uint64_t invalidated = 0;    ///< compiled traces retired by a
                                  ///< code-cache flush
+    uint64_t execFallbacks = 0;  ///< ops run through the generic
+                                 ///< Exec helper
 };
 
 /**

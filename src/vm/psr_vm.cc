@@ -115,6 +115,7 @@ PsrVm::publishTraceTelemetry(telemetry::MetricRegistry &reg) const
     reg.counter("trace.follows").set(stats.traceFollows);
     reg.counter("trace.invalidated").set(_traces.stats.invalidated);
     reg.counter("trace.sideExits").set(_traces.stats.sideExits);
+    reg.counter("trace.execFallbacks").set(_traces.stats.execFallbacks);
 }
 
 void
@@ -126,6 +127,7 @@ PsrVm::publishJitTelemetry(telemetry::MetricRegistry &reg) const
     reg.counter("jit.sideExits").set(_jit.stats.sideExits);
     reg.counter("jit.bailouts").set(_jit.stats.bailouts);
     reg.counter("jit.invalidated").set(_jit.stats.invalidated);
+    reg.counter("jit.execFallbacks").set(_jit.stats.execFallbacks);
 }
 
 double

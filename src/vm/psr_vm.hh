@@ -205,9 +205,10 @@ class PsrVm
 
     /**
      * Mirror the trace counters (trace.formed/follows/invalidated/
-     * sideExits) into @p reg. Host-side observability only — callers
-     * must not route this into a deterministic bench registry, since
-     * trace coverage legitimately changes with HIPSTR_TRACE.
+     * sideExits/execFallbacks) into @p reg. Host-side observability
+     * only — callers must not route this into a deterministic bench
+     * registry, since trace coverage legitimately changes with
+     * HIPSTR_TRACE.
      */
     void publishTraceTelemetry(telemetry::MetricRegistry &reg) const;
 

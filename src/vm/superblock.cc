@@ -125,8 +125,11 @@ aluShape(const MachInst &mi, TraceOp &t)
 /**
  * Encode one straight-line (Plain-class) instruction as a TraceOp.
  * Nops emit nothing — the boundary fold accounts them through the
- * translate-time running totals. Unrecognized shapes fall back to the
- * generic executeInstInline handler, never get dropped.
+ * translate-time running totals. Every shape the compiler and the
+ * translator emit on a hot path has a specialized handler, byte
+ * moves included; anything else falls back to the cold generic
+ * executeInstInline handler (counted as an execFallback), never gets
+ * dropped.
  */
 void
 encodeInst(const TInst &ti, uint32_t inst_idx, uint16_t seg,
@@ -167,6 +170,23 @@ encodeInst(const TInst &ti, uint32_t inst_idx, uint16_t seg,
             t.a = static_cast<uint8_t>(mi.dst.base);
             t.imm = static_cast<uint32_t>(mi.dst.disp);
             t.imm2 = static_cast<uint32_t>(mi.src1.disp);
+        }
+        break;
+
+      case Op::Movb:
+        // Byte loads zero-extend, byte stores write the low byte. The
+        // Cisc mem8 <- imm8 form is never emitted by the compiler or
+        // the translator and stays on the generic handler.
+        if (mi.dst.isReg() && mi.src1.isMem()) {
+            t.h = TraceH::MovbRM;
+            t.a = static_cast<uint8_t>(mi.dst.reg);
+            t.b = static_cast<uint8_t>(mi.src1.base);
+            t.imm = static_cast<uint32_t>(mi.src1.disp);
+        } else if (mi.dst.isMem() && mi.src1.isReg()) {
+            t.h = TraceH::MovbMR;
+            t.a = static_cast<uint8_t>(mi.dst.base);
+            t.imm = static_cast<uint32_t>(mi.dst.disp);
+            t.b = static_cast<uint8_t>(mi.src1.reg);
         }
         break;
 
@@ -471,7 +491,8 @@ TraceEngine::invalidateAll()
  * the translate-time running totals at segment boundaries and at
  * faults, exactly where the block loop folds them. Memory accesses go
  * through per-family span hints (one range compare on the hit path)
- * with semantics byte-identical to tryRead32/tryWrite32.
+ * with semantics byte-identical to tryRead32/tryWrite32 (tryRead8/
+ * tryWrite8 for byte moves).
  */
 TraceExit
 PsrVm::runTrace(SuperTrace *tr, uint64_t guest_budget,
@@ -483,6 +504,8 @@ PsrVm::runTrace(SuperTrace *tr, uint64_t guest_budget,
         &&h_MovRM,
         &&h_MovMR,
         &&h_MovMI,
+        &&h_MovbRM,
+        &&h_MovbMR,
         &&h_Lea,
         &&h_MovHi,
         &&h_CmpRR,
@@ -521,9 +544,10 @@ PsrVm::runTrace(SuperTrace *tr, uint64_t guest_budget,
     TraceExit tx;
     uint32_t *const regs = state.regs.data();
     Memory &mem = _mem;
-    // Per-family span hints: moves vs. slot/stack traffic, reads vs.
-    // writes kept apart (a hint proves only one access direction).
-    Memory::SpanHint rh0, rh1, wh0, wh1;
+    // Per-family span hints: moves vs. slot/stack traffic vs. byte
+    // moves, reads vs. writes kept apart (a hint proves only one
+    // access direction and width).
+    Memory::SpanHint rh0, rh1, wh0, wh1, rb, wb;
     const TraceOp *const ops = tr->ops.data();
     const TraceOp *op = ops;
 
@@ -555,6 +579,18 @@ h_MovMR:
     NEXTOP;
 h_MovMI:
     if (!mem.tryWrite32Span(wh0, R(op->a) + op->imm, op->imm2))
+        goto fault;
+    NEXTOP;
+h_MovbRM: {
+    uint8_t v;
+    if (!mem.tryRead8Span(rb, R(op->b) + op->imm, v))
+        goto fault;
+    R(op->a) = v;
+    NEXTOP;
+}
+h_MovbMR:
+    if (!mem.tryWrite8Span(wb, R(op->a) + op->imm,
+                           static_cast<uint8_t>(R(op->b))))
         goto fault;
     NEXTOP;
 h_Lea:
@@ -695,6 +731,7 @@ h_Exec: {
     // Generic fallback: full single-instruction semantics. state.pc
     // is scratch inside a trace (nothing here reads it); every exit
     // path below re-establishes it before handing control back.
+    ++_traces.stats.execFallbacks;
     ExecStatus st = executeInstInline(op->ti->mi, state, mem, &_os);
     if (st == ExecStatus::Continue) [[likely]]
         NEXTOP;

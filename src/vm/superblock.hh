@@ -60,6 +60,8 @@ enum class TraceH : uint16_t
     MovRM,
     MovMR,
     MovMI,
+    MovbRM,      ///< a <- zext mem8[R(b)+imm]
+    MovbMR,      ///< mem8[R(a)+imm] <- low8 R(b)
     Lea,
     MovHi,
     CmpRR,
@@ -79,7 +81,8 @@ enum class TraceH : uint16_t
     op##RR, op##RI, op##RM, op##MR, op##MI,
     HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_ENUM)
 #undef HIPSTR_TRACE_ALU_ENUM
-    Exec,        ///< generic fallback: executeInstInline on ti->mi
+    Exec,        ///< cold generic fallback: executeInstInline on
+                 ///< ti->mi (counted as an execFallback)
     JccGuard,    ///< off-trace conditional: taken => side exit
     SegBranch,   ///< on-trace direct branch edge (block stub exit)
     SegBranchCc, ///< on-trace conditional edge (dominant taken)
@@ -183,6 +186,8 @@ struct TraceStats
     uint64_t attempts = 0;
     uint64_t invalidated = 0;
     uint64_t sideExits = 0;
+    /** Interpreted ops that ran through the generic Exec handler. */
+    uint64_t execFallbacks = 0;
 };
 
 /**

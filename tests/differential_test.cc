@@ -616,5 +616,270 @@ TEST(Differential, TraceJitFreshAfterRespawnReRandomize)
     }
 }
 
+// ------------------------------------------------------------------
+// Byte moves on all three engines.
+//
+// Movb has its own trace handlers and JIT lowering (zero-extending
+// byte loads, low-byte stores through REX-prefixed byte registers),
+// so a byte-heavy hot loop must end in the identical architectural
+// state on the block loop, the threaded trace interpreter and the
+// JIT: registers, flags, pc, every guest-visible byte, the stop
+// reason and pc, and every deterministic VmStats counter. The loop
+// runs clean, or turns one of its byte accesses into a fault once
+// it is hot: a store to a code page, a store to the read-only
+// dispatch table, or a load from unmapped memory. (Which JIT host
+// register a byte op lands on is up to the compiler and the
+// randomizer here; JitSmoke.ByteMovesOnEveryHostRegister pins each
+// allocatable host register with a hand-built trace.)
+// ------------------------------------------------------------------
+
+enum class ByteFault
+{
+    None,
+    StoreToCode,
+    StoreToReadOnly,
+    LoadUnmapped
+};
+
+/** Iterations of the byte loop; the fault variants arm at kByteArm. */
+constexpr int32_t kByteIters = 3000;
+constexpr int32_t kByteArm = 2048;
+static_assert(kByteArm == 1 << 11 && kByteIters < 2 * kByteArm,
+              "the loop arms on bit 11 of its counter");
+
+/**
+ * A loop that copies, mixes and accumulates bytes through several
+ * pointers and ten simultaneously live byte values. With a fault
+ * armed, one access's address switches (branch-free, so the access
+ * stays on the trace) to @p fault's target at iteration kByteArm.
+ */
+IrModule
+byteLoopModule(ByteFault fault)
+{
+    IrModule m;
+    m.name = "byteloop";
+    IrBuilder b(m);
+    std::vector<uint8_t> init(64);
+    for (size_t k = 0; k < init.size(); ++k)
+        init[k] = static_cast<uint8_t>(0x9d * k + 0x41);
+    uint32_t src = b.addGlobal("src", 64, 4, init);
+    uint32_t dst = b.addGlobal("dst", 64);
+    uint32_t main_fn = b.declareFunction("main", 0);
+    b.setEntry(main_fn);
+
+    b.beginFunction(main_fn);
+    {
+        ValueId srcA = b.globalAddr(src, 0);
+        ValueId srcB = b.globalAddr(src, 16);
+        ValueId srcC = b.globalAddr(src, 32);
+        ValueId dstA = b.globalAddr(dst, 0);
+        ValueId dstB = b.globalAddr(dst, 16);
+        ValueId dstC = b.globalAddr(dst, 40);
+        Addr target = 0;
+        switch (fault) {
+          case ByteFault::None:
+            break;
+          case ByteFault::StoreToCode:
+            target = layout::kRiscCodeBase + 0x40;
+            break;
+          case ByteFault::StoreToReadOnly:
+            target = layout::kRiscFuncTable + 0x40;
+            break;
+          case ByteFault::LoadUnmapped:
+            target = layout::kHeapBase - 0x1000;
+            break;
+        }
+        ValueId faultBase =
+            fault == ByteFault::LoadUnmapped ? srcC : dstC;
+        ValueId delta =
+            b.sub(b.constI(static_cast<int32_t>(target)), faultBase);
+        ValueId acc0 = b.constI(0);
+        ValueId acc1 = b.constI(0x5a);
+        ValueId acc2 = b.constI(7);
+        ValueId acc3 = b.constI(0);
+        ValueId i = b.constI(0);
+        uint32_t loop = b.newBlock(), body = b.newBlock(),
+                 done = b.newBlock();
+        b.br(loop);
+        b.setBlock(loop);
+        b.condBrI(Cond::Lt, i, kByteIters, body, done);
+        b.setBlock(body);
+        {
+            ValueId k = b.andI(i, 15);
+            // 0 before kByteArm, all ones from it on.
+            ValueId armed = b.sub(b.constI(0),
+                                  b.andI(b.shrI(i, 11), 1));
+            ValueId detour = b.and_(armed, delta);
+            ValueId pa = b.add(srcA, k);
+            ValueId pc = b.add(srcC, k);
+            ValueId qa = b.add(dstA, k);
+            ValueId qc = b.add(dstC, k);
+            if (fault == ByteFault::LoadUnmapped)
+                pc = b.add(pc, detour);
+            else if (fault != ByteFault::None)
+                qc = b.add(qc, detour);
+            std::vector<ValueId> x;
+            for (int32_t j = 0; j < 9; ++j)
+                x.push_back(b.load8(j % 2 ? pa : srcB, j));
+            x.push_back(b.load8(pc, 2));
+            for (int32_t j = 9; j >= 0; --j)
+                b.store8(j % 2 ? qa : dstB, x[size_t(j)], j);
+            b.store8(qc, x[0], 2);
+            b.store8(dstB, i, 11);
+            b.assignBinop(IrOp::Add, acc0, acc0, x[0]);
+            b.assignBinop(IrOp::Xor, acc1, acc1, x[5]);
+            b.assignBinop(IrOp::Add, acc2, acc2, b.shlI(x[9], 1));
+            b.assignBinop(IrOp::Add, acc3, acc3, b.mul(x[3], x[8]));
+            b.assignBinopI(IrOp::Add, i, i, 1);
+        }
+        b.br(loop);
+        b.setBlock(done);
+        b.emitWriteWord(acc0);
+        b.emitWriteWord(acc1);
+        b.emitWriteWord(acc2);
+        b.emitWriteWord(acc3);
+        b.emitExit(b.andI(acc0, 0xff));
+        b.ret();
+    }
+    b.endFunction();
+    return m;
+}
+
+/** Final state of one byte-loop run. */
+struct ByteRun
+{
+    VmRunResult stop;
+    MachineState state;
+    VmStats stats;
+    uint64_t memHash = 0;
+    uint32_t exitCode = 0;
+    uint64_t outputChecksum = 0;
+    uint64_t jitExecutions = 0;
+    uint64_t execFallbacks = 0;
+};
+
+ByteRun
+byteRun(const FatBinary &bin, IsaKind isa, uint64_t seed,
+        PsrConfig::TraceMode trace, PsrConfig::JitMode jit_mode)
+{
+    Memory mem;
+    loadFatBinary(bin, mem);
+    GuestOs os;
+    PsrConfig cfg;
+    cfg.seed = seed;
+    cfg.optLevel = unsigned(seed % 3) + 1;
+    cfg.traceMode = trace;
+    cfg.jitMode = jit_mode;
+    PsrVm vm(bin, isa, mem, os, cfg);
+    vm.reset();
+    ByteRun out;
+    out.stop = vm.run(kMaxInsts);
+    out.state = vm.state;
+    out.stats = vm.stats;
+    // Every guest-writable byte: globals, heap and stack.
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (Addr a = layout::kDataBase; a < layout::kStackTop; ++a) {
+        h ^= mem.data()[a];
+        h *= 0x100000001b3ull;
+    }
+    out.memHash = h;
+    out.exitCode = os.exitCode();
+    out.outputChecksum = os.outputChecksum();
+    out.jitExecutions = vm.jitStats().executions;
+    out.execFallbacks = vm.traceStats().execFallbacks +
+        vm.jitStats().execFallbacks;
+    return out;
+}
+
+void
+expectSameByteRun(const ByteRun &x, const ByteRun &y,
+                  bool same_follow_split, const std::string &label)
+{
+    EXPECT_EQ(x.stop.reason, y.stop.reason) << label;
+    EXPECT_EQ(x.stop.stopPc, y.stop.stopPc) << label;
+    EXPECT_EQ(x.state.regs, y.state.regs) << label;
+    EXPECT_EQ(x.state.flags, y.state.flags) << label;
+    EXPECT_EQ(x.state.pc, y.state.pc) << label;
+    EXPECT_EQ(x.memHash, y.memHash) << label;
+    EXPECT_EQ(x.exitCode, y.exitCode) << label;
+    EXPECT_EQ(x.outputChecksum, y.outputChecksum) << label;
+    const VmStats &a = x.stats, &b = y.stats;
+    EXPECT_EQ(a.guestInsts, b.guestInsts) << label;
+    EXPECT_EQ(a.hostInsts, b.hostInsts) << label;
+    EXPECT_EQ(a.memReads, b.memReads) << label;
+    EXPECT_EQ(a.memWrites, b.memWrites) << label;
+    EXPECT_EQ(a.dispatches, b.dispatches) << label;
+    EXPECT_EQ(a.translations, b.translations) << label;
+    EXPECT_EQ(a.translatedGuestInsts, b.translatedGuestInsts) << label;
+    EXPECT_EQ(a.ratHits, b.ratHits) << label;
+    EXPECT_EQ(a.ratMisses, b.ratMisses) << label;
+    EXPECT_EQ(a.indirectTransfers, b.indirectTransfers) << label;
+    EXPECT_EQ(a.codeCacheMisses, b.codeCacheMisses) << label;
+    EXPECT_EQ(a.securityEvents, b.securityEvents) << label;
+    EXPECT_EQ(a.migrationsRequested, b.migrationsRequested) << label;
+    EXPECT_EQ(a.cacheFlushes, b.cacheFlushes) << label;
+    EXPECT_EQ(a.syscalls, b.syscalls) << label;
+    EXPECT_EQ(a.diversificationFlips, b.diversificationFlips) << label;
+    // Tracing moves on-trace edges from chainFollows to traceFollows.
+    EXPECT_EQ(a.chainFollows + a.traceFollows,
+              b.chainFollows + b.traceFollows)
+        << label;
+    if (same_follow_split) {
+        EXPECT_EQ(a.chainFollows, b.chainFollows) << label;
+        EXPECT_EQ(a.traceFollows, b.traceFollows) << label;
+    }
+}
+
+TEST(Differential, ByteMovesMatchAcrossEngines)
+{
+    const char *reason = nullptr;
+    const bool jit_ok = jit::TraceJit::hostSupported(&reason);
+    for (ByteFault fault :
+         { ByteFault::None, ByteFault::StoreToCode,
+           ByteFault::StoreToReadOnly, ByteFault::LoadUnmapped }) {
+        FatBinary bin = compileModule(byteLoopModule(fault));
+        for (IsaKind isa : kAllIsas) {
+            for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+                const std::string label = std::string("byteloop/") +
+                    std::to_string(static_cast<int>(fault)) + "/" +
+                    isaName(isa) + "/seed=" + std::to_string(seed);
+                ByteRun block =
+                    byteRun(bin, isa, seed, PsrConfig::TraceMode::Off,
+                            PsrConfig::JitMode::Off);
+                ByteRun threaded =
+                    byteRun(bin, isa, seed, PsrConfig::TraceMode::On,
+                            PsrConfig::JitMode::Off);
+                ByteRun jitted =
+                    byteRun(bin, isa, seed, PsrConfig::TraceMode::On,
+                            PsrConfig::JitMode::On);
+                const VmStop want = fault == ByteFault::None
+                    ? VmStop::Exited
+                    : VmStop::Fault;
+                EXPECT_EQ(block.stop.reason, want) << label;
+                if (fault != ByteFault::None) {
+                    // The fault fired in the hot loop, after kByteArm
+                    // iterations had retired.
+                    EXPECT_GT(block.stats.guestInsts,
+                              uint64_t(10) * kByteArm)
+                        << label;
+                }
+                expectSameByteRun(block, threaded, false,
+                                  label + "/threaded");
+                expectSameByteRun(threaded, jitted, true,
+                                  label + "/jit");
+                // The hot loop ran on traces, byte moves included
+                // (a byte move left to the generic handler counts as
+                // an execFallback).
+                EXPECT_GT(threaded.stats.traceFollows, 0u) << label;
+                EXPECT_EQ(threaded.execFallbacks, 0u) << label;
+                EXPECT_EQ(jitted.execFallbacks, 0u) << label;
+                if (jit_ok) {
+                    EXPECT_GT(jitted.jitExecutions, 0u) << label;
+                }
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace hipstr

@@ -272,6 +272,52 @@ TEST(Memory, PermissionLayering)
     EXPECT_NO_THROW(mem.write32(0x1400, 1));
 }
 
+// A span hint's window is as wide as the access it proves: a byte
+// access may start in the last 3 bytes of the address space, where a
+// 4-byte access may not. A byte probe there must refill a window that
+// contains the address, or the JIT's probe-then-retry loop would miss
+// the window on every retry.
+TEST(Memory, ByteSpanHintCoversLastBytes)
+{
+    Memory mem;
+    const Addr tail = layout::kMemEnd - 0x1000;
+    mem.setRegion(tail, 0x1000, PermRW, "tail");
+    for (Addr back : { 1u, 2u, 3u }) {
+        const Addr addr = layout::kMemEnd - back;
+        for (Perm p : { PermR, PermW }) {
+            Memory::SpanHint h;
+            ASSERT_TRUE(mem.probe8Span(h, addr, p)) << back;
+            EXPECT_LE(h.lo, addr) << back;
+            EXPECT_GE(h.hi, addr) << back;
+            EXPECT_EQ(h.lo, tail);
+            EXPECT_EQ(h.hi, layout::kMemEnd - 1);
+        }
+        Memory::SpanHint wh, rh;
+        ASSERT_TRUE(mem.tryWrite8Span(wh, addr, uint8_t(0xa0 + back)));
+        uint8_t v = 0;
+        ASSERT_TRUE(mem.tryRead8Span(rh, addr, v));
+        EXPECT_EQ(v, 0xa0 + back);
+        EXPECT_EQ(mem.rawRead8(addr), 0xa0 + back);
+    }
+
+    // The word window keeps its kMemEnd - 4 bound.
+    Memory::SpanHint w;
+    ASSERT_TRUE(mem.probe32Span(w, layout::kMemEnd - 4, PermR));
+    EXPECT_EQ(w.lo, tail);
+    EXPECT_EQ(w.hi, layout::kMemEnd - 4);
+    Memory::SpanHint past;
+    EXPECT_FALSE(mem.probe32Span(past, layout::kMemEnd - 3, PermR));
+
+    // A byte without the needed permission never probes true.
+    mem.setRegion(tail, 0x10, PermR, "tail-ro");
+    Memory::SpanHint ro, none;
+    EXPECT_FALSE(mem.probe8Span(ro, tail + 1, PermW));
+    EXPECT_TRUE(mem.probe8Span(ro, tail + 1, PermR));
+    EXPECT_EQ(mem.permAt(tail - 1), PermNone);
+    EXPECT_FALSE(mem.probe8Span(none, tail - 1, PermR));
+    EXPECT_FALSE(mem.probe8Span(none, layout::kMemEnd, PermR));
+}
+
 /** Offset of the first byte in [p, p+len) that is not @p v, or -1. */
 long
 firstNot(const uint8_t *p, size_t len, uint8_t v)

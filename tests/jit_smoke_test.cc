@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -23,8 +24,10 @@
 
 #include "binary/loader.hh"
 #include "compiler/compile.hh"
+#include "isa/exec_inline.hh"
 #include "isa/guest_os.hh"
 #include "vm/jit/arena.hh"
+#include "vm/jit/compiler.hh"
 #include "vm/jit/emitter.hh"
 #include "vm/jit/engine.hh"
 #include "vm/psr_vm.hh"
@@ -164,6 +167,292 @@ TEST(JitSmoke, TinyArenaEvictionStorm)
     EXPECT_EQ(tiny.guestInsts, big.guestInsts);
     EXPECT_EQ(tiny.traceFollows, big.traceFollows);
     EXPECT_EQ(tiny.outputChecksum, big.outputChecksum);
+}
+
+TEST(JitSmoke, NoExecFallbacksOnAnyWorkload)
+{
+    // Every shape the workloads run on a trace has its own handler,
+    // so the generic Exec fallback never fires: not in the threaded
+    // interpreter, not in compiled code. A new op or operand shape
+    // that slips back to Exec (a silent native-coverage regression)
+    // fails here without any timing.
+    const bool jit_ok = jitHostOk();
+    for (const std::string &name : allWorkloadNames()) {
+        WorkloadConfig wcfg;
+        wcfg.scale = 1;
+        FatBinary bin = compileModule(buildWorkload(name, wcfg));
+        for (IsaKind isa : kAllIsas) {
+            for (PsrConfig::JitMode mode :
+                 { PsrConfig::JitMode::Off, PsrConfig::JitMode::On }) {
+                const std::string label = name + "/" + isaName(isa) +
+                    (mode == PsrConfig::JitMode::On ? "/jit=on"
+                                                    : "/jit=off");
+                Memory mem;
+                loadFatBinary(bin, mem);
+                GuestOs os;
+                PsrConfig cfg;
+                cfg.seed = 7;
+                cfg.traceMode = PsrConfig::TraceMode::On;
+                cfg.jitMode = mode;
+                PsrVm vm(bin, isa, mem, os, cfg);
+                vm.reset();
+                VmRunResult r = vm.run(400'000'000);
+                ASSERT_EQ(r.reason, VmStop::Exited) << label;
+                EXPECT_GT(vm.stats.traceFollows, 0u) << label;
+                EXPECT_EQ(vm.traceStats().execFallbacks, 0u) << label;
+                EXPECT_EQ(vm.jitStats().execFallbacks, 0u) << label;
+                if (mode == PsrConfig::JitMode::On && jit_ok) {
+                    EXPECT_GT(vm.jitStats().executions, 0u) << label;
+                }
+            }
+        }
+    }
+}
+
+TEST(JitSmoke, MovMR8EncodingPinned)
+{
+    // mov byte [r14+rdx], r8 for every register a guest value can be
+    // stored from: the allocatable hosts and the rax scratch. The REX
+    // prefix is mandatory even for rbp/rsi/rdi — without it those
+    // encodings name ch/dh/bh.
+    struct Case
+    {
+        uint8_t src;
+        std::vector<uint8_t> bytes;
+    };
+    const std::vector<Case> cases = {
+        { jit::RAX, { 0x41, 0x88, 0x04, 0x16 } }, // al
+        { jit::RBP, { 0x41, 0x88, 0x2c, 0x16 } }, // bpl
+        { jit::RSI, { 0x41, 0x88, 0x34, 0x16 } }, // sil
+        { jit::RDI, { 0x41, 0x88, 0x3c, 0x16 } }, // dil
+        { jit::R8, { 0x45, 0x88, 0x04, 0x16 } },  // r8b
+        { jit::R9, { 0x45, 0x88, 0x0c, 0x16 } },  // r9b
+        { jit::R10, { 0x45, 0x88, 0x14, 0x16 } }, // r10b
+        { jit::R11, { 0x45, 0x88, 0x1c, 0x16 } }, // r11b
+    };
+    for (const Case &c : cases) {
+        jit::Emitter em;
+        em.movMR8(jit::Mem(jit::R14, jit::RDX, 0), c.src);
+        EXPECT_EQ(em.code, c.bytes) << "src " << int(c.src);
+    }
+    // A base that needs no REX of its own still gets the bare 0x40.
+    jit::Emitter em;
+    em.movMR8(jit::Mem(jit::RBX, 8), jit::RSI);
+    EXPECT_EQ(em.code, (std::vector<uint8_t>{ 0x40, 0x88, 0x73, 0x08 }));
+}
+
+/** Where the hand-built byte trace stops early, if anywhere. */
+enum class ByteTrap
+{
+    None,
+    StoreToReadOnly,
+    StoreToCode,
+    LoadUnmapped
+};
+
+/**
+ * One straight-line trace of Lea/Movb ops and the block it claims to
+ * come from. Filler leas (R(g) = R(g) + 0) give guest register g a
+ * use count that falls with g, so the JIT assigns g0..g6 to rbp, rsi,
+ * rdi, r8, r9, r10, r11 and leaves g7 and g8 in their homes; each of
+ * g0..g8 then stores its low byte and loads a byte back. Two stores
+ * and a load touch the last three bytes of the address space, where
+ * only a byte-wide hint window admits them.
+ */
+struct ByteTrace
+{
+    TranslatedBlock blk;
+    SuperTrace tr;
+
+    explicit ByteTrace(ByteTrap trap)
+    {
+        constexpr Reg kRo = 9, kCode = 10, kUnmapped = 11, kTail = 12;
+        std::vector<MachInst> mis;
+        for (Reg g = 0; g < 9; ++g)
+            for (int k = 0; k < 4 * (9 - g); ++k)
+                mis.push_back(MachInst::lea(g, g, 0));
+        for (Reg g = 0; g < 9; ++g)
+            mis.push_back(MachInst::storeByte((g + 1) % 9, 0x20 + g, g));
+        mis.push_back(MachInst::storeByte(kTail, 2, 3));
+        mis.push_back(MachInst::storeByte(kTail, 0, 6));
+        mis.push_back(MachInst::loadByte(13, kTail, 2));
+        if (trap == ByteTrap::StoreToReadOnly)
+            mis.push_back(MachInst::storeByte(kRo, 0, 2));
+        if (trap == ByteTrap::StoreToCode)
+            mis.push_back(MachInst::storeByte(kCode, 0, 5));
+        if (trap == ByteTrap::LoadUnmapped)
+            mis.push_back(MachInst::loadByte(4, kUnmapped, 0));
+        for (Reg g = 0; g < 8; ++g)
+            mis.push_back(MachInst::loadByte(g, g + 1, 0x20 + g));
+        mis.push_back(MachInst::loadByte(8, 8, 0x40));
+
+        uint32_t reads = 0, writes = 0;
+        for (const MachInst &mi : mis) {
+            TInst ti;
+            ti.mi = mi;
+            ti.guestStart = true;
+            ti.klass = ExecClass::GuestStartPlain;
+            ti.memReads = mi.op == Op::Movb && mi.src1.isMem();
+            ti.memWrites = mi.op == Op::Movb && mi.dst.isMem();
+            reads += ti.memReads;
+            writes += ti.memWrites;
+            ti.guestCum = static_cast<uint32_t>(blk.insts.size() + 1);
+            ti.memReadsCum = reads;
+            ti.memWritesCum = writes;
+            blk.insts.push_back(ti);
+        }
+        TInst end;
+        end.mi = MachInst::ret();
+        end.klass = ExecClass::Ret;
+        blk.insts.push_back(end);
+        blk.srcStart = layout::kRiscCodeBase;
+
+        tr.headPc = blk.srcStart;
+        tr.segs.push_back({ &blk, blk.srcStart });
+        for (uint32_t i = 0; i < blk.insts.size(); ++i) {
+            const MachInst &mi = blk.insts[i].mi;
+            TraceOp op;
+            op.instIdx = i;
+            op.ti = &blk.insts[i];
+            if (mi.op == Op::Lea) {
+                op.h = TraceH::Lea;
+                op.a = static_cast<uint8_t>(mi.dst.reg);
+                op.b = static_cast<uint8_t>(mi.src1.base);
+                op.imm = static_cast<uint32_t>(mi.src1.disp);
+            } else if (mi.op == Op::Movb && mi.dst.isReg()) {
+                op.h = TraceH::MovbRM;
+                op.a = static_cast<uint8_t>(mi.dst.reg);
+                op.b = static_cast<uint8_t>(mi.src1.base);
+                op.imm = static_cast<uint32_t>(mi.src1.disp);
+            } else if (mi.op == Op::Movb) {
+                op.h = TraceH::MovbMR;
+                op.a = static_cast<uint8_t>(mi.dst.base);
+                op.imm = static_cast<uint32_t>(mi.dst.disp);
+                op.b = static_cast<uint8_t>(mi.src1.reg);
+            } else {
+                op.h = TraceH::TraceEnd;
+            }
+            tr.ops.push_back(op);
+        }
+    }
+};
+
+/** Initial guest registers: g0..g8 point into the heap. */
+std::array<uint32_t, 16>
+byteTraceRegs()
+{
+    std::array<uint32_t, 16> regs{};
+    for (uint32_t g = 0; g < 9; ++g)
+        regs[g] = layout::kHeapBase + 0x100 * g + 0x11 * (g + 1);
+    regs[9] = layout::kRiscFuncTable + 8;
+    regs[10] = layout::kRiscCodeBase + 4;
+    regs[11] = layout::kHeapBase - 0x1000;
+    regs[12] = layout::kMemEnd - 3;
+    return regs;
+}
+
+/** The byte trace's memory: a heap pattern and a RW last page. */
+void
+prepareByteMemory(Memory &mem)
+{
+    for (Addr a = 0; a < 0x1000; ++a)
+        mem.rawWrite8(layout::kHeapBase + a,
+                      static_cast<uint8_t>(7 * a + 3));
+    mem.setRegion(layout::kMemEnd - 0x1000, 0x1000, PermRW, "tail");
+}
+
+TEST(JitSmoke, ByteMovesOnEveryHostRegister)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    FatBinary bin = compileModule(buildHmmer(WorkloadConfig{}));
+    for (ByteTrap trap : { ByteTrap::None, ByteTrap::StoreToReadOnly,
+                           ByteTrap::StoreToCode,
+                           ByteTrap::LoadUnmapped }) {
+        const std::string label =
+            "trap=" + std::to_string(static_cast<int>(trap));
+        ByteTrace bt(trap);
+
+        const std::array<uint8_t, 16> host =
+            jit::hostRegisterMap(bt.tr);
+        const uint8_t want[] = { jit::RBP, jit::RSI, jit::RDI,
+                                 jit::R8,  jit::R9,  jit::R10,
+                                 jit::R11, jit::kNoHostReg,
+                                 jit::kNoHostReg };
+        for (Reg g = 0; g < 9; ++g)
+            ASSERT_EQ(host[g], want[g]) << label << " g" << int(g);
+
+        // Reference: the block loop's semantics, one instruction at
+        // a time, stopping at the first fault.
+        Memory ref_mem;
+        loadFatBinary(bin, ref_mem);
+        prepareByteMemory(ref_mem);
+        GuestOs ref_os;
+        MachineState ref(IsaKind::Risc);
+        ref.regs = byteTraceRegs();
+        int fault_at = -1;
+        for (size_t i = 0; i + 1 < bt.blk.insts.size(); ++i) {
+            ExecStatus st = executeInstInline(bt.blk.insts[i].mi, ref,
+                                              ref_mem, &ref_os);
+            if (st == ExecStatus::Faulted) {
+                fault_at = static_cast<int>(i);
+                break;
+            }
+            ASSERT_EQ(st, ExecStatus::Continue) << label;
+        }
+        EXPECT_EQ(fault_at >= 0, trap != ByteTrap::None) << label;
+
+        Memory mem;
+        loadFatBinary(bin, mem);
+        prepareByteMemory(mem);
+        GuestOs os;
+        PsrConfig cfg;
+        cfg.traceMode = PsrConfig::TraceMode::On;
+        cfg.jitMode = PsrConfig::JitMode::On;
+        PsrVm vm(bin, IsaKind::Risc, mem, os, cfg);
+        vm.reset();
+        vm.state.regs = byteTraceRegs();
+        const VmStats before = vm.stats;
+        jit::TraceJit engine;
+        VmRunResult stop;
+        TraceExit tx;
+        ASSERT_TRUE(engine.run(vm, &bt.tr, ~uint64_t(0), stop, tx))
+            << label;
+        EXPECT_EQ(engine.stats.compiledTraces, 1u) << label;
+        EXPECT_EQ(engine.stats.execFallbacks, 0u) << label;
+
+        EXPECT_EQ(vm.state.regs, ref.regs) << label;
+        for (Addr a = 0; a < 0x1000; ++a) {
+            ASSERT_EQ(mem.rawRead8(layout::kHeapBase + a),
+                      ref_mem.rawRead8(layout::kHeapBase + a))
+                << label << " heap+0x" << std::hex << a;
+        }
+        for (Addr a = layout::kMemEnd - 3; a < layout::kMemEnd; ++a)
+            EXPECT_EQ(mem.rawRead8(a), ref_mem.rawRead8(a)) << label;
+        if (fault_at < 0) {
+            EXPECT_EQ(tx.kind, TraceExitKind::Resume) << label;
+            EXPECT_EQ(tx.blk, &bt.blk) << label;
+            EXPECT_EQ(tx.instIdx, bt.blk.insts.size() - 1) << label;
+            EXPECT_EQ(vm.stats.guestInsts, before.guestInsts) << label;
+        } else {
+            const TInst &ft = bt.blk.insts[static_cast<size_t>(fault_at)];
+            EXPECT_EQ(tx.kind, TraceExitKind::Stop) << label;
+            EXPECT_EQ(stop.reason, VmStop::Fault) << label;
+            EXPECT_EQ(stop.stopPc, bt.blk.srcStart) << label;
+            EXPECT_EQ(vm.stats.guestInsts - before.guestInsts,
+                      ft.guestCum)
+                << label;
+            EXPECT_EQ(vm.stats.hostInsts - before.hostInsts,
+                      uint64_t(fault_at) + 1)
+                << label;
+            EXPECT_EQ(vm.stats.memReads - before.memReads,
+                      ft.memReadsCum)
+                << label;
+            EXPECT_EQ(vm.stats.memWrites - before.memWrites,
+                      ft.memWritesCum)
+                << label;
+        }
+    }
 }
 
 TEST(JitSmoke, ExecArenaWxRoundTrip)
