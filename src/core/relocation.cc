@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
+#include "isa/machine_state.hh"
 #include "support/logging.hh"
 
 namespace hipstr
@@ -234,118 +236,86 @@ Randomizer::generate(uint32_t func_id, Rng &rng) const
 namespace
 {
 
+/** Entries of MachineState::regs: every Reg a map holds indexes it. */
+constexpr size_t kRegSlots = std::tuple_size_v<decltype(MachineState::regs)>;
+
+/** A register field: range-checked on load, since mapReg() and the
+ *  calling convention index machine state with it. */
+template <class A>
 void
-savePhase(ByteWriter &w, const telemetry::PhaseStats &p)
+transferReg(A &a, Reg &r)
 {
-    w.u64(p.invocations);
-    w.u64(p.workUnits);
-    w.f64(p.modeledMicros);
+    a(r);
+    a.check(r < kRegSlots, "relocation map register out of range");
 }
 
+template <class A, size_t N>
 void
-loadPhase(ByteReader &r, telemetry::PhaseStats &p)
+transferReg(A &a, std::array<Reg, N> &regs)
 {
-    p.invocations = r.u64();
-    p.workUnits = r.u64();
-    p.modeledMicros = r.f64();
+    for (Reg &r : regs)
+        transferReg(a, r);
 }
 
+template <class A>
 void
-saveMap(ByteWriter &w, const RelocationMap &m)
+transferMap(A &a, RelocationMap &m)
 {
-    w.u32(m.funcId);
-    w.u8(uint8_t(m.isa));
-    for (Reg r : m.regMap)
-        w.u8(r);
-    for (int32_t s : m.regToSlot)
-        w.u32(uint32_t(s));
+    auto &[funcId, isa, regMap, regToSlot, slotMap, extraSpace,
+           newFrameSize, argRegs, retReg, randomizableParams,
+           entropyBits, regionLo, regionSize] = m;
+    a(funcId, isa);
+    transferReg(a, regMap);
+    a(regToSlot);
     // Canonical key order: unordered_map iteration is not stable
     // across processes and the checkpoint must be byte-deterministic.
-    std::vector<std::pair<uint32_t, uint32_t>> slots(m.slotMap.begin(),
-                                                     m.slotMap.end());
-    std::sort(slots.begin(), slots.end());
-    w.u32(uint32_t(slots.size()));
-    for (const auto &kv : slots) {
-        w.u32(kv.first);
-        w.u32(kv.second);
+    std::vector<std::pair<uint32_t, uint32_t>> slots;
+    if constexpr (!A::kLoading) {
+        slots.assign(slotMap.begin(), slotMap.end());
+        std::sort(slots.begin(), slots.end());
     }
-    w.u32(m.extraSpace);
-    w.u32(m.newFrameSize);
-    for (Reg r : m.argRegs)
-        w.u8(r);
-    w.u8(m.retReg);
-    w.u32(m.randomizableParams);
-    w.f64(m.entropyBits);
-    w.u32(m.regionLo);
-    w.u32(m.regionSize);
-}
-
-RelocationMap
-loadMap(ByteReader &r)
-{
-    RelocationMap m;
-    m.funcId = r.u32();
-    m.isa = IsaKind(r.u8());
-    for (Reg &reg : m.regMap)
-        reg = r.u8();
-    for (int32_t &s : m.regToSlot)
-        s = int32_t(r.u32());
-    uint32_t slots = r.u32();
-    m.slotMap.reserve(slots);
-    for (uint32_t i = 0; i < slots; ++i) {
-        uint32_t from = r.u32();
-        uint32_t to = r.u32();
-        m.slotMap.emplace(from, to);
+    a.seq32(slots, [&a](auto &kv) { a(kv.first, kv.second); });
+    if constexpr (A::kLoading) {
+        slotMap.clear();
+        slotMap.reserve(slots.size());
+        slotMap.insert(slots.begin(), slots.end());
     }
-    m.extraSpace = r.u32();
-    m.newFrameSize = r.u32();
-    for (Reg &reg : m.argRegs)
-        reg = r.u8();
-    m.retReg = r.u8();
-    m.randomizableParams = r.u32();
-    m.entropyBits = r.f64();
-    m.regionLo = r.u32();
-    m.regionSize = r.u32();
-    return m;
+    a(extraSpace, newFrameSize);
+    transferReg(a, argRegs);
+    transferReg(a, retReg);
+    a(randomizableParams, entropyBits, regionLo, regionSize);
 }
 
 } // namespace
 
+template <class A>
 void
-Randomizer::saveState(ByteWriter &w) const
+Randomizer::transfer(A &a)
 {
-    w.u64(_generation);
-    for (uint64_t word : _rng.stateWords())
-        w.u64(word);
-    savePhase(w, regallocPhase);
-    savePhase(w, relocationPhase);
-    std::vector<uint32_t> ids;
-    ids.reserve(_maps.size());
-    for (const auto &kv : _maps)
-        ids.push_back(kv.first);
-    std::sort(ids.begin(), ids.end());
-    w.u32(uint32_t(ids.size()));
-    for (uint32_t id : ids)
-        saveMap(w, _maps.at(id));
-}
-
-void
-Randomizer::loadState(ByteReader &r)
-{
-    _generation = r.u64();
-    std::array<uint64_t, 4> words;
-    for (uint64_t &word : words)
-        word = r.u64();
-    _rng.setStateWords(words);
-    loadPhase(r, regallocPhase);
-    loadPhase(r, relocationPhase);
-    _maps.clear();
-    uint32_t count = r.u32();
-    for (uint32_t i = 0; i < count; ++i) {
-        RelocationMap m = loadMap(r);
-        uint32_t id = m.funcId;
-        _maps.emplace(id, std::move(m));
+    std::array<uint64_t, 4> words = _rng.stateWords();
+    a(_generation, words, regallocPhase, relocationPhase);
+    if constexpr (A::kLoading)
+        _rng.setStateWords(words);
+    // Maps in ascending funcId order, for the same reason as slots.
+    std::vector<RelocationMap> maps;
+    if constexpr (!A::kLoading) {
+        for (const auto &kv : _maps)
+            maps.push_back(kv.second);
+        std::sort(maps.begin(), maps.end(),
+                  [](const RelocationMap &x, const RelocationMap &y) {
+                      return x.funcId < y.funcId;
+                  });
+    }
+    a.seq32(maps, [&a](RelocationMap &m) { transferMap(a, m); });
+    if constexpr (A::kLoading) {
+        _maps.clear();
+        for (RelocationMap &m : maps) {
+            uint32_t id = m.funcId;
+            _maps.emplace(id, std::move(m));
+        }
     }
 }
+
+HIPSTR_CHECKPOINT_VIA_TRANSFER(Randomizer)
 
 } // namespace hipstr

@@ -152,6 +152,9 @@ class Randomizer
 
   private:
     RelocationMap generate(uint32_t func_id, Rng &rng) const;
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
 
     const FatBinary &_bin;
     IsaKind _isa;

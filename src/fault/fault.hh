@@ -42,6 +42,13 @@ enum class FaultKind : uint8_t
 
 constexpr size_t kNumFaultKinds = static_cast<size_t>(FaultKind::kNum);
 
+/** Range bound for checkpoint loads (support/serialize.hh). */
+constexpr FaultKind
+lastEnumerator(FaultKind)
+{
+    return static_cast<FaultKind>(kNumFaultKinds - 1);
+}
+
 /** Log-friendly name, procStateName-style. */
 const char *faultKindName(FaultKind k);
 
@@ -55,6 +62,15 @@ struct FaultInfo
 
     bool valid() const { return kind != FaultKind::None; }
 };
+
+/** Checkpoint field list (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, FaultInfo &f)
+{
+    auto &[kind, pc, isa, generation] = f;
+    a(kind, pc, isa, generation);
+}
 
 } // namespace hipstr
 

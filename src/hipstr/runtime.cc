@@ -139,143 +139,29 @@ HipstrRuntime::installHook()
     other().securityEventHook = nullptr;
 }
 
-namespace
-{
-
+template <class A>
 void
-savePhase(ByteWriter &w, const telemetry::PhaseStats &p)
+HipstrRuntime::transfer(A &a)
 {
-    w.u64(p.invocations);
-    w.u64(p.workUnits);
-    w.f64(p.modeledMicros);
-}
-
-void
-loadPhase(ByteReader &r, telemetry::PhaseStats &p)
-{
-    p.invocations = r.u64();
-    p.workUnits = r.u64();
-    p.modeledMicros = r.f64();
-}
-
-void
-saveSummary(ByteWriter &w, const HipstrRunSummary &s)
-{
-    w.u8(uint8_t(s.reason));
-    w.u32(s.stopPc);
-    w.u64(s.totalGuestInsts);
-    for (uint64_t g : s.guestInstsPerIsa)
-        w.u64(g);
-    w.u32(s.migrations);
-    w.u32(s.migrationsDenied);
-    w.u32(s.migrationsSuppressed);
-    w.u32(s.transformAborts);
-    w.f64(s.migrationMicroseconds);
-    w.u8(uint8_t(s.fault.kind));
-    w.u32(s.fault.pc);
-    w.u8(uint8_t(s.fault.isa));
-    w.u32(s.fault.generation);
-    w.u32(uint32_t(s.migrationLog.size()));
-    for (const MigrationOutcome &mo : s.migrationLog) {
-        w.boolean(mo.ok);
-        w.str(mo.error);
-        w.u32(mo.resumePc);
-        w.u32(mo.frames);
-        w.u32(mo.valuesMoved);
-        w.u32(mo.objectBytes);
-        w.u32(mo.raRewrites);
-        w.u32(mo.pointersRebased);
-        w.f64(mo.microseconds);
-    }
-    w.u64(s.migrationLogDropped);
-    for (const telemetry::PhaseStats &p : s.phases.phases)
-        savePhase(w, p);
-}
-
-void
-loadSummary(ByteReader &r, HipstrRunSummary &s)
-{
-    s.reason = VmStop(r.u8());
-    s.stopPc = r.u32();
-    s.totalGuestInsts = r.u64();
-    for (uint64_t &g : s.guestInstsPerIsa)
-        g = r.u64();
-    s.migrations = r.u32();
-    s.migrationsDenied = r.u32();
-    s.migrationsSuppressed = r.u32();
-    s.transformAborts = r.u32();
-    s.migrationMicroseconds = r.f64();
-    s.fault.kind = FaultKind(r.u8());
-    s.fault.pc = r.u32();
-    s.fault.isa = IsaKind(r.u8());
-    s.fault.generation = r.u32();
-    uint32_t logged = r.u32();
-    s.migrationLog.clear();
-    s.migrationLog.reserve(logged);
-    for (uint32_t i = 0; i < logged; ++i) {
-        MigrationOutcome mo;
-        mo.ok = r.boolean();
-        mo.error = r.str();
-        mo.resumePc = r.u32();
-        mo.frames = r.u32();
-        mo.valuesMoved = r.u32();
-        mo.objectBytes = r.u32();
-        mo.raRewrites = r.u32();
-        mo.pointersRebased = r.u32();
-        mo.microseconds = r.f64();
-        s.migrationLog.push_back(std::move(mo));
-    }
-    s.migrationLogDropped = r.u64();
-    for (telemetry::PhaseStats &p : s.phases.phases)
-        loadPhase(r, p);
-}
-
-} // namespace
-
-void
-HipstrRuntime::saveState(ByteWriter &w) const
-{
-    w.u8(uint8_t(_current));
-    w.u8(uint8_t(_cfg.startIsa)); // setStartIsa mutates this
-    for (uint64_t word : _policy.stateWords())
-        w.u64(word);
-    w.boolean(_suppressNextEvent);
-    w.boolean(_abortNextTransform);
-    w.boolean(_migrationSuspended);
-    w.boolean(_terminal);
-    w.u64(_logNext);
-    saveSummary(w, _acc);
-    savePhase(w, _transformPhase);
-    for (const telemetry::PhaseStats &p : _phaseBase.phases)
-        savePhase(w, p);
+    std::array<uint64_t, 4> policy = _policy.stateWords();
+    // startIsa is configuration, but setStartIsa mutates it.
+    a(_current, _cfg.startIsa, policy, _suppressNextEvent,
+      _abortNextTransform, _migrationSuspended, _terminal, _logNext);
+    // recordMigration() indexes the full ring with the cursor.
+    a.check(_logNext < std::max<size_t>(_cfg.migrationLogCap, 1),
+            "migration log cursor out of range");
+    a(_acc, _transformPhase, _phaseBase);
     for (IsaKind isa : kAllIsas)
-        vm(isa).saveState(w);
+        a.object(vm(isa));
+    if constexpr (A::kLoading) {
+        _policy.setStateWords(policy);
+        // The security hook captures `this` state that is all
+        // restored above; re-arm it on the restored current ISA.
+        installHook();
+    }
 }
 
-void
-HipstrRuntime::loadState(ByteReader &r)
-{
-    _current = IsaKind(r.u8());
-    _cfg.startIsa = IsaKind(r.u8());
-    std::array<uint64_t, 4> words;
-    for (uint64_t &word : words)
-        word = r.u64();
-    _policy.setStateWords(words);
-    _suppressNextEvent = r.boolean();
-    _abortNextTransform = r.boolean();
-    _migrationSuspended = r.boolean();
-    _terminal = r.boolean();
-    _logNext = r.u64();
-    loadSummary(r, _acc);
-    loadPhase(r, _transformPhase);
-    for (telemetry::PhaseStats &p : _phaseBase.phases)
-        loadPhase(r, p);
-    for (IsaKind isa : kAllIsas)
-        vm(isa).loadState(r);
-    // The security hook captures `this` state that is all restored
-    // above; re-arm it on the restored current ISA.
-    installHook();
-}
+HIPSTR_CHECKPOINT_VIA_TRANSFER(HipstrRuntime)
 
 void
 HipstrRuntime::recordMigration(const MigrationOutcome &mo)

@@ -107,6 +107,22 @@ struct HipstrRunSummary
     telemetry::PhaseBreakdown phases;
 };
 
+/** Checkpoint field list (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, HipstrRunSummary &s)
+{
+    auto &[reason, stopPc, totalGuestInsts, guestInstsPerIsa, migrations,
+           migrationsDenied, migrationsSuppressed, transformAborts,
+           migrationMicroseconds, fault, migrationLog,
+           migrationLogDropped, phases] = s;
+    a(reason, stopPc, totalGuestInsts, guestInstsPerIsa, migrations,
+      migrationsDenied, migrationsSuppressed, transformAborts,
+      migrationMicroseconds, fault);
+    a.seq32(migrationLog);
+    a(migrationLogDropped, phases);
+}
+
 /**
  * Outcome of one scheduling quantum (runQuantum). `reason` is the
  * event that ended the slice: StepLimit (budget exhausted — the
@@ -289,6 +305,9 @@ class HipstrRuntime
     void recordMigration(const MigrationOutcome &mo);
     /** Modeled "now" on the runtime's trace lane. */
     double traceTs() const;
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
 
     const FatBinary &_bin;
     Memory &_mem;

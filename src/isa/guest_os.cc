@@ -138,38 +138,16 @@ GuestOs::handleSyscall(MachineState &state, Memory &mem)
     }
 }
 
+template <class A>
 void
-GuestOs::saveState(ByteWriter &w) const
+GuestOs::transfer(A &a)
 {
-    w.boolean(_redirected);
-    w.u64(_outputHash);
-    w.u64(_totalOutputBytes);
-    w.boolean(_exited);
-    w.u32(_exitCode);
-    w.boolean(_execveFired);
-    for (uint32_t a : _execveArgs)
-        w.u32(a);
-    w.u32(_brk);
-    w.u32(uint32_t(_output.size()));
-    w.bytes(_output.data(), _output.size());
+    a(_redirected, _outputHash, _totalOutputBytes, _exited, _exitCode,
+      _execveFired, _execveArgs, _brk);
+    a.seq32(_output);
 }
 
-void
-GuestOs::loadState(ByteReader &r)
-{
-    _redirected = r.boolean();
-    _outputHash = r.u64();
-    _totalOutputBytes = r.u64();
-    _exited = r.boolean();
-    _exitCode = r.u32();
-    _execveFired = r.boolean();
-    for (uint32_t &a : _execveArgs)
-        a = r.u32();
-    _brk = r.u32();
-    uint32_t retained = r.u32();
-    _output.resize(retained);
-    r.bytes(_output.data(), retained);
-}
+HIPSTR_CHECKPOINT_VIA_TRANSFER(GuestOs)
 
 void
 GuestOs::reset()

@@ -120,6 +120,9 @@ class GuestOs
   private:
     /** Append one output byte: fold the checksum, honor the cap. */
     void emit(uint8_t b);
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
 
     bool _redirected = false;
     std::vector<uint8_t> _output;

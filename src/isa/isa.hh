@@ -39,6 +39,13 @@ enum class IsaKind : uint8_t
 /** Number of ISAs (for fat-binary section arrays). */
 constexpr size_t kNumIsas = 2;
 
+/** Range bound for checkpoint loads (support/serialize.hh). */
+constexpr IsaKind
+lastEnumerator(IsaKind)
+{
+    return IsaKind::Cisc;
+}
+
 /** Iterable list of all ISAs. */
 constexpr IsaKind kAllIsas[kNumIsas] = { IsaKind::Risc, IsaKind::Cisc };
 

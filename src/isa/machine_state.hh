@@ -26,6 +26,15 @@ struct Flags
     bool operator==(const Flags &) const = default;
 };
 
+/** Checkpoint field list (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, Flags &f)
+{
+    auto &[zf, sf, cf, of] = f;
+    a(zf, sf, cf, of);
+}
+
 /** Evaluate condition @p c against @p f. */
 inline bool
 condHolds(Cond c, const Flags &f)

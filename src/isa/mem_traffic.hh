@@ -32,9 +32,11 @@ struct MemCounts
 };
 
 /**
- * Invoke cb(addr, is_write) for every data-memory access @p mi
- * performs, using @p state (pre-execution register values) to form
- * addresses. Explicit operands first, then implicit stack traffic:
+ * The one enumeration of @p mi's data-memory accesses on @p isa:
+ * cb(operand, stack_off, is_write) per access, where operand is the
+ * memory operand accessed, or nullptr for an implicit stack access
+ * at sp + stack_off. Explicit operands first, then implicit stack
+ * traffic:
  *
  *  - Mov/Movb move a value from src1 to dst; any other op reads
  *    src1/src2 and writes dst (memory operands only).
@@ -48,39 +50,51 @@ struct MemCounts
  */
 template <typename Cb>
 inline void
-forEachMemAccess(const MachInst &mi, const MachineState &state,
-                 Cb &&cb)
+walkMemAccesses(const MachInst &mi, IsaKind isa, Cb &&cb)
 {
     auto operand = [&](const Operand &o, bool write) {
-        if (o.isMem()) {
-            cb(state.reg(o.base) + static_cast<uint32_t>(o.disp),
-               write);
-        }
+        if (o.isMem())
+            cb(&o, 0, write);
     };
-    if (mi.op == Op::Mov || mi.op == Op::Movb) {
-        operand(mi.src1, false);
-        operand(mi.dst, true);
-    } else {
-        operand(mi.src1, false);
+    operand(mi.src1, false);
+    if (mi.op != Op::Mov && mi.op != Op::Movb)
         operand(mi.src2, false);
-        operand(mi.dst, true);
-    }
+    operand(mi.dst, true);
     switch (mi.op) {
       case Op::Push:
-        cb(state.sp() - 4, true);
+        cb(nullptr, -4, true);
         break;
       case Op::Call:
       case Op::CallInd:
-        if (state.isa == IsaKind::Cisc)
-            cb(state.sp() - 4, true);
+        if (isa == IsaKind::Cisc)
+            cb(nullptr, -4, true);
         break;
       case Op::Pop:
       case Op::Ret:
-        cb(state.sp(), false);
+        cb(nullptr, 0, false);
         break;
       default:
         break;
     }
+}
+
+/**
+ * Invoke cb(addr, is_write) for every data-memory access @p mi
+ * performs, using @p state (pre-execution register values) to form
+ * addresses.
+ */
+template <typename Cb>
+inline void
+forEachMemAccess(const MachInst &mi, const MachineState &state,
+                 Cb &&cb)
+{
+    walkMemAccesses(mi, state.isa,
+                    [&](const Operand *o, int32_t stack_off, bool write) {
+                        Addr base = o != nullptr ? state.reg(o->base)
+                                                 : state.sp();
+                        int32_t off = o != nullptr ? o->disp : stack_off;
+                        cb(base + static_cast<uint32_t>(off), write);
+                    });
 }
 
 /**
@@ -91,38 +105,9 @@ inline MemCounts
 instMemCounts(const MachInst &mi, IsaKind isa)
 {
     MemCounts c;
-    auto operand = [&](const Operand &o, bool write) {
-        if (o.isMem()) {
-            if (write)
-                ++c.writes;
-            else
-                ++c.reads;
-        }
-    };
-    if (mi.op == Op::Mov || mi.op == Op::Movb) {
-        operand(mi.src1, false);
-        operand(mi.dst, true);
-    } else {
-        operand(mi.src1, false);
-        operand(mi.src2, false);
-        operand(mi.dst, true);
-    }
-    switch (mi.op) {
-      case Op::Push:
-        ++c.writes;
-        break;
-      case Op::Call:
-      case Op::CallInd:
-        if (isa == IsaKind::Cisc)
-            ++c.writes;
-        break;
-      case Op::Pop:
-      case Op::Ret:
-        ++c.reads;
-        break;
-      default:
-        break;
-    }
+    walkMemAccesses(mi, isa, [&](const Operand *, int32_t, bool write) {
+        ++(write ? c.writes : c.reads);
+    });
     return c;
 }
 

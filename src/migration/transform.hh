@@ -48,6 +48,17 @@ struct MigrationOutcome
     double microseconds = 0; ///< modeled cost (see cost model below)
 };
 
+/** Checkpoint field list (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, MigrationOutcome &m)
+{
+    auto &[ok, error, resumePc, frames, valuesMoved, objectBytes,
+           raRewrites, pointersRebased, microseconds] = m;
+    a(ok, error, resumePc, frames, valuesMoved, objectBytes, raRewrites,
+      pointersRebased, microseconds);
+}
+
 /**
  * Cost model for the state transformation, executed on the
  * *destination* core (which is why ARM-bound migrations cost more —

@@ -127,7 +127,8 @@ parseJournal(const std::vector<uint8_t> &bytes)
             r.skip(len);
             switch (static_cast<RecordTag>(tag)) {
               case RecordTag::Request: {
-                  Request req = readRequest(body);
+                  Request req;
+                  LoadArchive{ body }(req);
                   // Both drivers draw ids in increasing order, so a
                   // repeated or regressing id is damage.
                   if (!j.requests.empty() &&

@@ -430,7 +430,7 @@ class Recorder : public ShardTap<RecordingFaultPlan>
     {
         for (const Request &r : _draws) {
             ByteWriter w;
-            writeRequest(w, r);
+            SaveArchive{ w }(r);
             _out.record(RecordTag::Request, w);
         }
         _draws.clear();
@@ -636,6 +636,9 @@ drive(const FatBinary &bin, const ServerConfig &cfg,
         try {
             ByteReader r(j.rounds.at(start).checkpoint);
             srv.loadCheckpoint(r);
+            if (!r.atEnd())
+                throw SerializeError(SerializeErrc::Corrupt,
+                                     "trailing bytes after checkpoint");
         } catch (const SerializeError &e) {
             throw ReplayError(ReplayErrc::Corrupt,
                               std::string("checkpoint unusable: ") +

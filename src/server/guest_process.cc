@@ -423,143 +423,63 @@ GuestProcess::injectAttackProbe(uint64_t nonce)
     return stageHijack(c.addr, /*build_frame=*/true, c.funcId);
 }
 
+template <class A>
 void
-GuestProcess::saveState(ByteWriter &w) const
+GuestProcess::transfer(A &a)
 {
     hipstr_assert(_state != ProcState::Running);
     hipstr_assert(!_mem.journaling());
 
-    w.u32(_cfg.pid);
-    w.u8(uint8_t(_state));
-    w.u64(_serviceRemaining);
-    w.boolean(_lastMigrated);
-    w.boolean(_tainted);
-    w.u64(_expectedChecksum);
-    w.boolean(_haveExpected);
-
-    w.u64(_stats.guestInsts);
-    for (uint64_t g : _stats.guestInstsPerIsa)
-        w.u64(g);
-    w.u64(_stats.quanta);
-    w.u32(_stats.migrations);
-    w.u32(_stats.migrationsDenied);
-    w.u32(_stats.crashes);
-    w.u32(_stats.respawns);
-    w.u32(_stats.programsCompleted);
-    w.u32(_stats.checksumMismatches);
-    w.u32(_stats.probesStaged);
-    w.u64(_stats.outputBytes);
-    for (uint64_t f : _stats.faultsInjected)
-        w.u64(f);
-    w.u64(_stats.wedgedQuanta);
-    w.u32(_stats.watchdogKills);
-    w.u32(_stats.transformAborts);
-    w.u32(_stats.migrationsSuppressed);
-    w.u32(_stats.emergencyRelocations);
-
-    w.u64(_quantumSerial);
-    w.u32(_wedgeRemaining);
-    w.u32(_wedgeStreak);
-    w.u8(uint8_t(_lastFault.kind));
-    w.u32(_lastFault.pc);
-    w.u8(uint8_t(_lastFault.isa));
-    w.u32(_lastFault.generation);
-    w.u8(uint8_t(_pendingKind));
-
-    _os.saveState(w);
-    _runtime->saveState(w);
+    a.expect(_cfg.pid, "checkpoint pid mismatch");
+    // Validated before it lands: every later load asserts on Running.
+    ProcState state = _state;
+    a(state);
+    a.check(state != ProcState::Running,
+            "checkpoint of a running process");
+    if constexpr (A::kLoading)
+        _state = state;
+    a(_serviceRemaining, _lastMigrated, _tainted, _expectedChecksum,
+      _haveExpected, _stats, _quantumSerial, _wedgeRemaining,
+      _wedgeStreak, _lastFault, _pendingKind);
+    a.object(_os);
+    a.object(*_runtime);
 
     // Mutable guest image [kDataBase, kStackTop): data, heap, stack.
     // The code sections below kDataBase are reproduced by the loader
     // at construction; the cache regions above kStackTop rebuild
     // cold. Zero pages are skipped — a worker touches a small
-    // fraction of its 8 MiB image.
+    // fraction of its 8 MiB image — and a sentinel ends the stream.
     constexpr uint32_t kPage = 4096;
     constexpr Addr lo = layout::kDataBase;
     constexpr Addr hi = layout::kStackTop;
-    const uint8_t *bytes = _mem.data();
-    for (Addr page = lo; page < hi; page += kPage) {
-        const uint8_t *p = bytes + page;
-        bool all_zero = true;
-        for (uint32_t i = 0; i < kPage; ++i) {
-            if (p[i] != 0) {
-                all_zero = false;
-                break;
-            }
+    constexpr Addr kEnd = 0xffffffffu;
+    if constexpr (!A::kLoading) {
+        const uint8_t *bytes = _mem.data();
+        for (Addr page = lo; page < hi; page += kPage) {
+            const uint8_t *p = bytes + page;
+            if (std::all_of(p, p + kPage, [](uint8_t b) { return b == 0; }))
+                continue;
+            a(page);
+            a.bytes(p, kPage);
         }
-        if (all_zero)
-            continue;
-        w.u32(page);
-        w.bytes(p, kPage);
-    }
-    w.u32(0xffffffffu); // page-stream terminator
-}
-
-void
-GuestProcess::loadState(ByteReader &r)
-{
-    hipstr_assert(_state != ProcState::Running);
-    hipstr_assert(!_mem.journaling());
-
-    uint32_t pid = r.u32();
-    if (pid != _cfg.pid)
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "checkpoint pid mismatch");
-    _state = ProcState(r.u8());
-    _serviceRemaining = r.u64();
-    _lastMigrated = r.boolean();
-    _tainted = r.boolean();
-    _expectedChecksum = r.u64();
-    _haveExpected = r.boolean();
-
-    _stats.guestInsts = r.u64();
-    for (uint64_t &g : _stats.guestInstsPerIsa)
-        g = r.u64();
-    _stats.quanta = r.u64();
-    _stats.migrations = r.u32();
-    _stats.migrationsDenied = r.u32();
-    _stats.crashes = r.u32();
-    _stats.respawns = r.u32();
-    _stats.programsCompleted = r.u32();
-    _stats.checksumMismatches = r.u32();
-    _stats.probesStaged = r.u32();
-    _stats.outputBytes = r.u64();
-    for (uint64_t &f : _stats.faultsInjected)
-        f = r.u64();
-    _stats.wedgedQuanta = r.u64();
-    _stats.watchdogKills = r.u32();
-    _stats.transformAborts = r.u32();
-    _stats.migrationsSuppressed = r.u32();
-    _stats.emergencyRelocations = r.u32();
-
-    _quantumSerial = r.u64();
-    _wedgeRemaining = r.u32();
-    _wedgeStreak = r.u32();
-    _lastFault.kind = FaultKind(r.u8());
-    _lastFault.pc = r.u32();
-    _lastFault.isa = IsaKind(r.u8());
-    _lastFault.generation = r.u32();
-    _pendingKind = FaultKind(r.u8());
-
-    _os.loadState(r);
-    _runtime->loadState(r);
-
-    constexpr uint32_t kPage = 4096;
-    constexpr Addr lo = layout::kDataBase;
-    constexpr Addr hi = layout::kStackTop;
-    _mem.zeroRange(lo, hi - lo);
-    for (;;) {
-        uint32_t page = r.u32();
-        if (page == 0xffffffffu)
-            break;
-        if (page < lo || page >= hi || page % kPage != 0)
-            throw SerializeError(SerializeErrc::Corrupt,
-                                 "checkpoint page out of range");
-        std::array<uint8_t, kPage> buf;
-        r.bytes(buf.data(), kPage);
-        _mem.rawWriteBytes(page, buf.data(), kPage);
+        a(kEnd);
+    } else {
+        _mem.zeroRange(lo, hi - lo);
+        for (;;) {
+            Addr page = kEnd;
+            a(page);
+            if (page == kEnd)
+                break;
+            a.check(page >= lo && page < hi && page % kPage == 0,
+                    "checkpoint page out of range");
+            std::array<uint8_t, kPage> buf;
+            a.bytes(buf.data(), kPage);
+            _mem.rawWriteBytes(page, buf.data(), kPage);
+        }
     }
 }
+
+HIPSTR_CHECKPOINT_VIA_TRANSFER(GuestProcess)
 
 bool
 GuestProcess::injectCorruption(uint64_t nonce)

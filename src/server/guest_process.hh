@@ -34,6 +34,13 @@ enum class ProcState : uint8_t
 
 const char *procStateName(ProcState s);
 
+/** Range bound for checkpoint loads (support/serialize.hh). */
+constexpr ProcState
+lastEnumerator(ProcState)
+{
+    return ProcState::Exited;
+}
+
 /** Per-process configuration. */
 struct GuestProcessConfig
 {
@@ -115,6 +122,25 @@ struct GuestProcessStats
      */
     telemetry::PhaseBreakdown phases;
 };
+
+/** Checkpoint field list (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, GuestProcessStats &s)
+{
+    auto &[guestInsts, guestInstsPerIsa, quanta, migrations,
+           migrationsDenied, crashes, respawns, programsCompleted,
+           checksumMismatches, probesStaged, outputBytes, faultsInjected,
+           wedgedQuanta, watchdogKills, transformAborts,
+           migrationsSuppressed, emergencyRelocations, phases] = s;
+    // stats() recomputes phases from the runtime on every call.
+    notCheckpointed(phases);
+    a(guestInsts, guestInstsPerIsa, quanta, migrations, migrationsDenied,
+      crashes, respawns, programsCompleted, checksumMismatches,
+      probesStaged, outputBytes, faultsInjected, wedgedQuanta,
+      watchdogKills, transformAborts, migrationsSuppressed,
+      emergencyRelocations);
+}
 
 /**
  * A worker process. All mutable state (Memory, GuestOs, the two PSR
@@ -283,6 +309,9 @@ class GuestProcess
                      uint32_t frame_func);
     /** First Ret instruction of @p fi's code, or 0. */
     Addr findRetAddr(const FuncInfo &fi) const;
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
 
     const FatBinary &_bin;
     GuestProcessConfig _cfg;

@@ -515,100 +515,62 @@ ProtectedServer::roundSyncSignature() const
     return h;
 }
 
+template <class A>
+void
+ProtectedServer::transfer(A &a)
+{
+    auto &[report, inflight, retired, intake, completed, retried, nextId,
+           latencies, sig, roundNo, done, wasDegraded, degradedStart,
+           finished, begun, traced, usPerRound] = _serve;
+    // The last round's outcomes are consumed within it; the rest is
+    // fixed by beginRun().
+    notCheckpointed(completed, retried, begun, traced, usPerRound);
+    hipstr_assert(begun);
+    a.expect(uint32_t(_workers.size()), "checkpoint worker count mismatch");
+
+    if constexpr (A::kLoading) {
+        report = ServerReport{};
+        inflight.assign(_workers.size(), InFlight{});
+        retired.assign(_workers.size(), false);
+    }
+    a(report.requestsServed, report.requestsAbandoned,
+      report.servedByKind);
+    for (InFlight &f : inflight) {
+        auto &[req, startRound, active, assignIsa, assignGeneration,
+               assignRespawns, crashSeen] = f;
+        a(req, startRound, active, assignIsa, assignGeneration,
+          assignRespawns, crashSeen);
+    }
+    for (size_t i = 0; i < retired.size(); ++i) {
+        bool r = retired[i];
+        a(r);
+        if constexpr (A::kLoading)
+            retired[i] = r;
+    }
+    a.seq32(intake);
+    a(nextId);
+    a.seq64(latencies);
+    a(sig, roundNo, done, wasDegraded, degradedStart, finished);
+
+    a.object(_sched, [this](uint32_t pid) {
+        return pid < _workers.size() ? _workers[pid].get() : nullptr;
+    });
+    for (auto &proc : _workers)
+        a.object(*proc);
+}
+
 void
 ProtectedServer::saveCheckpoint(ByteWriter &w) const
 {
-    const ServeState &st = _serve;
-    hipstr_assert(st.begun);
-    w.u32(uint32_t(_workers.size()));
-
-    w.u64(st.report.requestsServed);
-    w.u64(st.report.requestsAbandoned);
-    for (uint64_t n : st.report.servedByKind)
-        w.u64(n);
-    for (const InFlight &f : st.inflight) {
-        writeRequest(w, f.req);
-        w.u64(f.startRound);
-        w.boolean(f.active);
-        w.u8(static_cast<uint8_t>(f.assignIsa));
-        w.u32(f.assignGeneration);
-        w.u32(f.assignRespawns);
-        w.boolean(f.crashSeen);
-    }
-    for (size_t i = 0; i < st.retired.size(); ++i)
-        w.boolean(st.retired[i]);
-    w.u32(uint32_t(st.intake.size()));
-    for (const Request &r : st.intake)
-        writeRequest(w, r);
-    w.u64(st.nextId);
-    w.u64(uint64_t(st.latencies.size()));
-    for (uint64_t l : st.latencies)
-        w.u64(l);
-    w.u64(st.sig);
-    w.u64(st.roundNo);
-    w.u64(st.done);
-    w.boolean(st.wasDegraded);
-    w.u64(st.degradedStart);
-    w.boolean(st.finished);
-
-    _sched.saveState(w);
-    for (const auto &proc : _workers)
-        proc->saveState(w);
+    SaveArchive a(w);
+    const_cast<ProtectedServer *>(this)->transfer(a);
 }
 
 void
 ProtectedServer::loadCheckpoint(ByteReader &r)
 {
-    ServeState &st = _serve;
-    hipstr_assert(st.begun);
-    uint32_t workers = r.u32();
-    if (workers != _workers.size())
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "checkpoint worker count mismatch");
-
-    st.report = ServerReport{};
-    st.report.requestsServed = r.u64();
-    st.report.requestsAbandoned = r.u64();
-    for (uint64_t &n : st.report.servedByKind)
-        n = r.u64();
-    st.inflight.assign(_workers.size(), InFlight{});
-    for (InFlight &f : st.inflight) {
-        f.req = readRequest(r);
-        f.startRound = r.u64();
-        f.active = r.boolean();
-        uint8_t isa = r.u8();
-        if (isa >= kNumIsas)
-            throw SerializeError(SerializeErrc::Corrupt,
-                                 "bad in-flight ISA in checkpoint");
-        f.assignIsa = static_cast<IsaKind>(isa);
-        f.assignGeneration = r.u32();
-        f.assignRespawns = r.u32();
-        f.crashSeen = r.boolean();
-    }
-    st.retired.assign(_workers.size(), false);
-    for (size_t i = 0; i < st.retired.size(); ++i)
-        st.retired[i] = r.boolean();
-    st.intake.clear();
-    uint32_t queued = r.u32();
-    for (uint32_t i = 0; i < queued; ++i)
-        st.intake.push_back(readRequest(r));
-    st.nextId = r.u64();
-    st.latencies.clear();
-    uint64_t lats = r.u64();
-    for (uint64_t i = 0; i < lats; ++i)
-        st.latencies.push_back(r.u64());
-    st.sig = r.u64();
-    st.roundNo = r.u64();
-    st.done = r.u64();
-    st.wasDegraded = r.boolean();
-    st.degradedStart = r.u64();
-    st.finished = r.boolean();
-
-    _sched.loadState(r, [this](uint32_t pid) -> GuestProcess * {
-        return pid < _workers.size() ? _workers[pid].get() : nullptr;
-    });
-    for (auto &proc : _workers)
-        proc->loadState(r);
+    LoadArchive a(r);
+    transfer(a);
 }
 
 } // namespace hipstr

@@ -360,6 +360,10 @@ class ProtectedServer
     /** Reference output checksum of one clean program run. */
     uint64_t referenceChecksum() const;
 
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
+
     /** Per-worker in-flight request bookkeeping. */
     struct InFlight
     {

@@ -31,6 +31,13 @@ enum class RequestKind : uint8_t
 
 constexpr size_t kNumRequestKinds = 5;
 
+/** Range bound for checkpoint loads (support/serialize.hh). */
+constexpr RequestKind
+lastEnumerator(RequestKind)
+{
+    return static_cast<RequestKind>(kNumRequestKinds - 1);
+}
+
 inline const char *
 requestKindName(RequestKind k)
 {
@@ -78,32 +85,14 @@ struct Request
     unsigned retries = 0;   ///< times re-queued after worker loss
 };
 
-/** Serialize @p r. The one wire form of a request: server
- *  checkpoints and record/replay journals both carry it. */
-inline void
-writeRequest(ByteWriter &w, const Request &r)
+/** The one wire form of a request: server checkpoints and
+ *  record/replay journals both carry it (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, Request &r)
 {
-    w.u64(r.id);
-    w.u8(static_cast<uint8_t>(r.kind));
-    w.u64(r.costInsts);
-    w.u32(r.retries);
-}
-
-/** Inverse of writeRequest(); throws SerializeError (Corrupt) on an
- *  out-of-range kind, Truncated on short input. */
-inline Request
-readRequest(ByteReader &r)
-{
-    Request req;
-    req.id = r.u64();
-    uint8_t kind = r.u8();
-    if (kind >= kNumRequestKinds)
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "bad request kind");
-    req.kind = static_cast<RequestKind>(kind);
-    req.costInsts = r.u64();
-    req.retries = r.u32();
-    return req;
+    auto &[id, kind, costInsts, retries] = r;
+    a(id, kind, costInsts, retries);
 }
 
 /**

@@ -408,123 +408,51 @@ CmpScheduler::idle() const
     return true;
 }
 
+template <class A>
 void
-CmpScheduler::saveState(ByteWriter &w) const
+CmpScheduler::transfer(A &a, const PidResolver &resolve)
 {
-    w.u64(_stats.rounds);
-    w.u64(_stats.quantaRun);
-    w.u64(_stats.idleCoreQuanta);
-    w.u32(_stats.migrationsRouted);
-    w.u32(_stats.respawns);
-    w.u32(_stats.retired);
-    w.u64(_stats.offlineCoreQuanta);
-    w.u32(_stats.coreOutages);
-    w.u32(_stats.coreRecoveries);
-    w.u32(_stats.degradedEntries);
-    w.u32(_stats.degradedExits);
-    w.u64(_stats.degradedRounds);
-    w.u32(_stats.reroutes);
-    w.u32(_stats.rerouteRespawns);
-    w.u32(_stats.quarantines);
-    w.u32(_stats.recoveries);
-    w.u64(_stats.recoveryRoundsSum);
+    auto resolveTo = [&](uint32_t pid, GuestProcess *&p) {
+        if constexpr (A::kLoading) {
+            p = resolve(pid);
+            a.check(p != nullptr, "checkpoint names unknown pid");
+        }
+    };
+    auto byPid = [&](GuestProcess *&p) {
+        uint32_t pid = A::kLoading ? 0 : p->pid();
+        a(pid);
+        resolveTo(pid, p);
+    };
 
-    for (const auto &queue : _ready) {
-        w.u32(uint32_t(queue.size()));
-        for (const GuestProcess *p : queue)
-            w.u32(p->pid());
-    }
-    w.u32(uint32_t(_retired.size()));
-    for (const GuestProcess *p : _retired)
-        w.u32(p->pid());
-
-    w.u32(uint32_t(_coreOfflineUntil.size()));
-    for (uint64_t until : _coreOfflineUntil)
-        w.u64(until);
-    for (bool off : _isaOffline)
-        w.boolean(off);
-
-    w.u32(uint32_t(_infirmary.size()));
-    for (const auto &kv : _infirmary) {
-        w.u32(kv.first);
-        w.u64(kv.second.crashRound);
-        w.u64(kv.second.releaseRound);
-        w.boolean(kv.second.quarantined);
-    }
-    w.u32(uint32_t(_streak.size()));
-    for (const auto &kv : _streak) {
-        w.u32(kv.first);
-        w.u32(kv.second);
-    }
+    a(_stats);
+    for (auto &queue : _ready)
+        a.seq32(queue, byPid);
+    a.seq32(_retired, byPid);
+    a.expect(uint32_t(_coreOfflineUntil.size()),
+             "checkpoint core count mismatch");
+    for (uint64_t &until : _coreOfflineUntil)
+        a(until);
+    a(_isaOffline);
+    a.seq32(_infirmary, [&](auto &kv) {
+        a(kv.first, kv.second.crashRound, kv.second.releaseRound,
+          kv.second.quarantined);
+        resolveTo(kv.first, kv.second.p);
+    });
+    a.seq32(_streak, [&](auto &kv) { a(kv.first, kv.second); });
 }
 
 void
-CmpScheduler::loadState(
-    ByteReader &r,
-    const std::function<GuestProcess *(uint32_t)> &resolve)
+CmpScheduler::saveState(ByteWriter &w) const
 {
-    auto lookup = [&resolve](uint32_t pid) {
-        GuestProcess *p = resolve(pid);
-        if (p == nullptr)
-            throw SerializeError(SerializeErrc::Corrupt,
-                                 "checkpoint names unknown pid");
-        return p;
-    };
+    SaveArchive a(w);
+    const_cast<CmpScheduler *>(this)->transfer(a, nullptr);
+}
 
-    _stats.rounds = r.u64();
-    _stats.quantaRun = r.u64();
-    _stats.idleCoreQuanta = r.u64();
-    _stats.migrationsRouted = r.u32();
-    _stats.respawns = r.u32();
-    _stats.retired = r.u32();
-    _stats.offlineCoreQuanta = r.u64();
-    _stats.coreOutages = r.u32();
-    _stats.coreRecoveries = r.u32();
-    _stats.degradedEntries = r.u32();
-    _stats.degradedExits = r.u32();
-    _stats.degradedRounds = r.u64();
-    _stats.reroutes = r.u32();
-    _stats.rerouteRespawns = r.u32();
-    _stats.quarantines = r.u32();
-    _stats.recoveries = r.u32();
-    _stats.recoveryRoundsSum = r.u64();
-
-    for (auto &queue : _ready) {
-        queue.clear();
-        uint32_t n = r.u32();
-        for (uint32_t i = 0; i < n; ++i)
-            queue.push_back(lookup(r.u32()));
-    }
-    _retired.clear();
-    uint32_t retired = r.u32();
-    for (uint32_t i = 0; i < retired; ++i)
-        _retired.push_back(lookup(r.u32()));
-
-    uint32_t cores = r.u32();
-    if (cores != _coreOfflineUntil.size())
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "checkpoint core count mismatch");
-    for (uint64_t &until : _coreOfflineUntil)
-        until = r.u64();
-    for (size_t i = 0; i < kNumIsas; ++i)
-        _isaOffline[i] = r.boolean();
-
-    _infirmary.clear();
-    uint32_t parked = r.u32();
-    for (uint32_t i = 0; i < parked; ++i) {
-        uint32_t pid = r.u32();
-        Convalescent c{ lookup(pid), 0, 0, false };
-        c.crashRound = r.u64();
-        c.releaseRound = r.u64();
-        c.quarantined = r.boolean();
-        _infirmary.emplace(pid, c);
-    }
-    _streak.clear();
-    uint32_t streaks = r.u32();
-    for (uint32_t i = 0; i < streaks; ++i) {
-        uint32_t pid = r.u32();
-        _streak[pid] = r.u32();
-    }
+void
+CmpScheduler::loadState(ByteReader &r, const PidResolver &resolve)
+{
+    LoadArchive a(r);
+    transfer(a, resolve);
 }
 
 } // namespace hipstr

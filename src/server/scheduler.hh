@@ -116,6 +116,22 @@ struct SchedulerStats
     /** @} */
 };
 
+/** Checkpoint field list (support/serialize.hh). */
+template <class A>
+void
+transfer(A &a, SchedulerStats &s)
+{
+    auto &[rounds, quantaRun, idleCoreQuanta, migrationsRouted, respawns,
+           retired, offlineCoreQuanta, coreOutages, coreRecoveries,
+           degradedEntries, degradedExits, degradedRounds, reroutes,
+           rerouteRespawns, quarantines, recoveries, recoveryRoundsSum] =
+        s;
+    a(rounds, quantaRun, idleCoreQuanta, migrationsRouted, respawns,
+      retired, offlineCoreQuanta, coreOutages, coreRecoveries,
+      degradedEntries, degradedExits, degradedRounds, reroutes,
+      rerouteRespawns, quarantines, recoveries, recoveryRoundsSum);
+}
+
 /** The scheduler. Processes are owned by the caller. */
 class CmpScheduler
 {
@@ -203,10 +219,9 @@ class CmpScheduler
      * function mapping a pid back to its (already restored)
      * GuestProcess. faultPlan/trace wiring is the caller's. @{
      */
+    using PidResolver = std::function<GuestProcess *(uint32_t)>;
     void saveState(ByteWriter &w) const;
-    void loadState(ByteReader &r,
-                   const std::function<GuestProcess *(uint32_t)>
-                       &resolve);
+    void loadState(ByteReader &r, const PidResolver &resolve);
     /** @} */
 
     /** Mean crash→release gap of infirmary recoveries, in rounds. */
@@ -245,6 +260,11 @@ class CmpScheduler
      */
     bool superviseCrash(GuestProcess *p, unsigned coreId,
                         double round_ts, bool traced);
+
+    /** The one checkpoint field list (support/serialize.hh); a
+     *  process travels as its pid and loads through @p resolve. */
+    template <class A>
+    void transfer(A &a, const PidResolver &resolve);
 
     const CmpModel &_cmp;
     SchedulerConfig _cfg;

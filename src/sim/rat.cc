@@ -83,43 +83,23 @@ ReturnAddressTable::lookup(Addr source, Addr &translated,
     return false;
 }
 
+template <class A>
 void
-ReturnAddressTable::saveState(ByteWriter &w) const
+ReturnAddressTable::transfer(A &a)
 {
-    w.u32(_entries);
-    w.u32(_ways);
-    w.u64(_tick);
-    w.u64(_hits);
-    w.u64(_misses);
-    w.u64(_insertions);
-    for (const Entry &e : _table) {
-        w.boolean(e.valid);
-        w.u32(e.source);
-        w.u32(e.translated);
-        w.u64(e.lastUse);
+    a.expect(_entries, "RAT geometry mismatch");
+    a.expect(_ways, "RAT geometry mismatch");
+    a(_tick, _hits, _misses, _insertions);
+    for (Entry &e : _table) {
+        auto &[valid, source, translated, block, lastUse] = e;
+        a(valid, source, translated, lastUse);
+        // The memo dies with the code cache and is never saved.
+        if constexpr (A::kLoading)
+            block = nullptr;
     }
 }
 
-void
-ReturnAddressTable::loadState(ByteReader &r)
-{
-    uint32_t entries = r.u32();
-    uint32_t ways = r.u32();
-    if (entries != _entries || ways != _ways)
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "RAT geometry mismatch");
-    _tick = r.u64();
-    _hits = r.u64();
-    _misses = r.u64();
-    _insertions = r.u64();
-    for (Entry &e : _table) {
-        e.valid = r.boolean();
-        e.source = r.u32();
-        e.translated = r.u32();
-        e.block = nullptr;
-        e.lastUse = r.u64();
-    }
-}
+HIPSTR_CHECKPOINT_VIA_TRANSFER(ReturnAddressTable)
 
 void
 ReturnAddressTable::flush()

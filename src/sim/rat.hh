@@ -101,6 +101,9 @@ class ReturnAddressTable
     uint64_t _insertions = 0;
 
     size_t setIndex(Addr source) const;
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
 };
 
 } // namespace hipstr

@@ -139,6 +139,24 @@ struct PhaseBreakdown
     }
 };
 
+/** Checkpoint field lists (support/serialize.hh). @{ */
+template <class A>
+void
+transfer(A &a, PhaseStats &p)
+{
+    auto &[invocations, workUnits, modeledMicros] = p;
+    a(invocations, workUnits, modeledMicros);
+}
+
+template <class A>
+void
+transfer(A &a, PhaseBreakdown &b)
+{
+    auto &[phases] = b;
+    a(phases);
+}
+/** @} */
+
 inline PhaseBreakdown
 operator+(PhaseBreakdown a, const PhaseBreakdown &b)
 {

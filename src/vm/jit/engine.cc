@@ -81,34 +81,6 @@ layout()
     return l;
 }
 
-/** Fold the faulting op's translate-time cumulative counters. */
-void
-foldFault(PsrVm &vm, const SuperTrace &tr, const TraceOp &op,
-          VmRunResult &stop, TraceExit &tx)
-{
-    vm.stats.guestInsts += op.ti->guestCum;
-    vm.stats.hostInsts += op.instIdx + 1;
-    vm.stats.memReads += op.ti->memReadsCum;
-    vm.stats.memWrites += op.ti->memWritesCum;
-    const TraceSegment &sg = tr.segs[op.seg];
-    vm.state.pc = sg.guestPc;
-    stop.reason = VmStop::Fault;
-    stop.stopPc = sg.guestPc;
-    tx.kind = TraceExitKind::Stop;
-}
-
-/** Resume the baseline block loop at the op's owner instruction. */
-void
-resumeOwner(PsrVm &vm, const SuperTrace &tr, const TraceOp &op,
-            TraceExit &tx)
-{
-    const TraceSegment &sg = tr.segs[op.seg];
-    vm.state.pc = sg.guestPc;
-    tx.kind = TraceExitKind::Resume;
-    tx.blk = sg.blk;
-    tx.instIdx = op.instIdx;
-}
-
 /** ALU handler shape, or -1 for non-ALU handlers. */
 int
 aluShape(TraceH h)
@@ -221,15 +193,8 @@ TraceJit::execOp(JitFrame *f, uint32_t op_idx)
     if (st == ExecStatus::Continue) [[likely]]
         return 1;
     if (st == ExecStatus::Halted) {
-        vm.stats.guestInsts += op.ti->guestCum;
-        vm.stats.hostInsts += op.instIdx + 1;
-        vm.stats.memReads += op.ti->memReadsCum;
-        vm.stats.memWrites += op.ti->memWritesCum;
-        const TraceSegment &sg = f->trace->segs[op.seg];
-        vm.state.pc = sg.guestPc;
-        f->stop->reason = VmStop::Halted;
-        f->stop->stopPc = sg.guestPc;
-        f->exit->kind = TraceExitKind::Stop;
+        vm.stopTraceAt(*f->trace, op, VmStop::Halted, *f->stop,
+                       *f->exit);
         f->exitCode = kJitExitHelper;
         return 0;
     }
@@ -372,13 +337,13 @@ TraceJit::run(PsrVm &vm, SuperTrace *tr, uint64_t guest_budget,
       case kJitExitSide:
         ++vm._traces.stats.sideExits;
         ++stats.sideExits;
-        resumeOwner(vm, *tr, tr->ops[f.exitOp], tx);
+        vm.resumeTraceOwner(*tr, tr->ops[f.exitOp], tx);
         return true;
       case kJitExitEnd:
-        resumeOwner(vm, *tr, tr->ops[f.exitOp], tx);
+        vm.resumeTraceOwner(*tr, tr->ops[f.exitOp], tx);
         return true;
       case kJitExitFault:
-        foldFault(vm, *tr, tr->ops[f.exitOp], stop, tx);
+        vm.stopTraceAt(*tr, tr->ops[f.exitOp], VmStop::Fault, stop, tx);
         return true;
       case kJitExitBudget: {
         // Counters were folded inline before the budget test; the

@@ -177,120 +177,47 @@ PsrVm::flushTranslations()
     }
 }
 
+template <class A>
 void
-PsrVm::saveState(ByteWriter &w) const
+PsrVm::transfer(A &a)
 {
-    // Architectural state.
-    w.u8(uint8_t(state.isa));
-    for (uint32_t r : state.regs)
-        w.u32(r);
-    w.boolean(state.flags.zf);
-    w.boolean(state.flags.sf);
-    w.boolean(state.flags.cf);
-    w.boolean(state.flags.of);
-    w.u32(state.pc);
-
-    // Counters. traceFollows/chainFollows split legitimately varies
-    // with HIPSTR_TRACE, but both are saved verbatim: a checkpoint is
-    // restored under the same knob setting it was taken under.
-    w.u64(stats.guestInsts);
-    w.u64(stats.hostInsts);
-    w.u64(stats.memReads);
-    w.u64(stats.memWrites);
-    w.u64(stats.dispatches);
-    w.u64(stats.chainFollows);
-    w.u64(stats.traceFollows);
-    w.u64(stats.translations);
-    w.u64(stats.translatedGuestInsts);
-    w.u64(stats.ratHits);
-    w.u64(stats.ratMisses);
-    w.u64(stats.indirectTransfers);
-    w.u64(stats.codeCacheMisses);
-    w.u64(stats.securityEvents);
-    w.u64(stats.migrationsRequested);
-    w.u64(stats.cacheFlushes);
-    w.u64(stats.syscalls);
-    w.u64(stats.diversificationFlips);
-
-    w.u64(translatePhase.invocations);
-    w.u64(translatePhase.workUnits);
-    w.f64(translatePhase.modeledMicros);
-
-    w.boolean(_decodeFaultArmed);
-    _randomizer.saveState(w);
-    _rat.saveState(w);
+    if constexpr (A::kLoading) {
+        // Drop every derived structure first: translations, traces
+        // and memoized pointers rebuild cold, exactly as after a
+        // flush — but without counter side effects; the counters come
+        // from the snapshot below.
+        _cache.flush();
+        _rat.flush();
+        invalidateTraces();
+    }
+    auto &[isa, regs, flags, pc] = state;
+    notCheckpointed(isa); // fixed at construction: always _isa
+    a.expect(_isa, "VM checkpoint ISA mismatch");
+    a(regs, flags, pc, stats, translatePhase, _decodeFaultArmed);
+    a.object(_randomizer);
+    a.object(_rat);
 
     // Vetted addresses: everything currently cache-resident, plus
     // any not-yet-drained vetted addresses if this VM is itself a
     // restored one. Sorted for a byte-deterministic image.
-    std::vector<Addr> vetted(_vetted.begin(), _vetted.end());
-    for (const auto &blk : _cache.blocks())
-        vetted.push_back(blk->srcStart);
-    std::sort(vetted.begin(), vetted.end());
-    vetted.erase(std::unique(vetted.begin(), vetted.end()),
-                 vetted.end());
-    w.u32(uint32_t(vetted.size()));
-    for (Addr a : vetted)
-        w.u32(a);
+    std::vector<Addr> vetted;
+    if constexpr (!A::kLoading) {
+        vetted.assign(_vetted.begin(), _vetted.end());
+        for (const auto &blk : _cache.blocks())
+            vetted.push_back(blk->srcStart);
+        std::sort(vetted.begin(), vetted.end());
+        vetted.erase(std::unique(vetted.begin(), vetted.end()),
+                     vetted.end());
+    }
+    a.seq32(vetted);
+    if constexpr (A::kLoading) {
+        _vetted.clear();
+        _vetted.reserve(vetted.size());
+        _vetted.insert(vetted.begin(), vetted.end());
+    }
 }
 
-void
-PsrVm::loadState(ByteReader &r)
-{
-    // Drop every derived structure first: translations, traces and
-    // memoized pointers rebuild cold, exactly as after a flush —
-    // but without counter side effects; the counters come from the
-    // snapshot below.
-    _cache.flush();
-    _rat.flush();
-    invalidateTraces();
-
-    IsaKind isa = IsaKind(r.u8());
-    if (isa != _isa)
-        throw SerializeError(SerializeErrc::Corrupt,
-                             "VM checkpoint ISA mismatch");
-    state.isa = isa;
-    for (uint32_t &reg : state.regs)
-        reg = r.u32();
-    state.flags.zf = r.boolean();
-    state.flags.sf = r.boolean();
-    state.flags.cf = r.boolean();
-    state.flags.of = r.boolean();
-    state.pc = r.u32();
-
-    stats.guestInsts = r.u64();
-    stats.hostInsts = r.u64();
-    stats.memReads = r.u64();
-    stats.memWrites = r.u64();
-    stats.dispatches = r.u64();
-    stats.chainFollows = r.u64();
-    stats.traceFollows = r.u64();
-    stats.translations = r.u64();
-    stats.translatedGuestInsts = r.u64();
-    stats.ratHits = r.u64();
-    stats.ratMisses = r.u64();
-    stats.indirectTransfers = r.u64();
-    stats.codeCacheMisses = r.u64();
-    stats.securityEvents = r.u64();
-    stats.migrationsRequested = r.u64();
-    stats.cacheFlushes = r.u64();
-    stats.syscalls = r.u64();
-    stats.diversificationFlips = r.u64();
-
-    translatePhase.invocations = r.u64();
-    translatePhase.workUnits = r.u64();
-    translatePhase.modeledMicros = r.f64();
-
-    _decodeFaultArmed = r.boolean();
-    _randomizer.loadState(r);
-    _rat.loadState(r);
-
-    _vetted.clear();
-    uint32_t vetted = r.u32();
-    _vetted.reserve(vetted);
-    for (uint32_t i = 0; i < vetted; ++i)
-        _vetted.insert(r.u32());
-}
+HIPSTR_CHECKPOINT_VIA_TRANSFER(PsrVm)
 
 TranslatedBlock *
 PsrVm::fetchBlock(Addr src, VmRunResult &stop)

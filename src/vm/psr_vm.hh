@@ -51,6 +51,13 @@ enum class VmStop
 
 const char *vmStopName(VmStop s);
 
+/** Range bound for checkpoint loads (support/serialize.hh). */
+constexpr VmStop
+lastEnumerator(VmStop)
+{
+    return VmStop::MigrationRequested;
+}
+
 /** Result of a VM run. */
 struct VmRunResult
 {
@@ -95,6 +102,28 @@ struct VmStats
     /** Isomeron-mode coin flips (one per call and per return). */
     uint64_t diversificationFlips = 0;
 };
+
+/**
+ * Checkpoint field list (support/serialize.hh). traceFollows and
+ * chainFollows split differently with HIPSTR_TRACE, but both travel
+ * verbatim: a checkpoint is restored under the knob setting it was
+ * taken under.
+ */
+template <class A>
+void
+transfer(A &a, VmStats &s)
+{
+    auto &[guestInsts, hostInsts, memReads, memWrites, dispatches,
+           chainFollows, traceFollows, translations,
+           translatedGuestInsts, ratHits, ratMisses, indirectTransfers,
+           codeCacheMisses, securityEvents, migrationsRequested,
+           cacheFlushes, syscalls, diversificationFlips] = s;
+    a(guestInsts, hostInsts, memReads, memWrites, dispatches,
+      chainFollows, traceFollows, translations, translatedGuestInsts,
+      ratHits, ratMisses, indirectTransfers, codeCacheMisses,
+      securityEvents, migrationsRequested, cacheFlushes, syscalls,
+      diversificationFlips);
+}
 
 /**
  * One PSR virtual machine, bound to one ISA of the fat binary.
@@ -297,6 +326,20 @@ class PsrVm
                        VmRunResult &stop);
 
     /**
+     * Cold trace exits shared by the threaded interpreter and the JIT
+     * (defined in superblock.cc). @{
+     */
+    /** End the run at @p op with @p why (a fault or a halt): fold the
+     *  op's translate-time cumulative counters and stop at its
+     *  segment's guest pc. */
+    void stopTraceAt(const SuperTrace &tr, const TraceOp &op, VmStop why,
+                     VmRunResult &stop, TraceExit &tx);
+    /** Resume the block loop at @p op's owner instruction. */
+    void resumeTraceOwner(const SuperTrace &tr, const TraceOp &op,
+                          TraceExit &tx);
+    /** @} */
+
+    /**
      * Retire every live trace, counting traces that held compiled
      * JIT code into jit.invalidated first. Wraps every code-cache
      * flush's invalidateAll so the two generation protocols (cache
@@ -311,6 +354,10 @@ class PsrVm
 
     /** Modeled timestamp of "now" for trace events (cold paths). */
     double traceTs() const;
+
+    /** The one checkpoint field list (support/serialize.hh). */
+    template <class A>
+    void transfer(A &a);
 
     /**
      * If @p target is in the restored vetted set, consume it and

@@ -736,15 +736,7 @@ h_Exec: {
     if (st == ExecStatus::Continue) [[likely]]
         NEXTOP;
     if (st == ExecStatus::Halted) {
-        stats.guestInsts += op->ti->guestCum;
-        stats.hostInsts += op->instIdx + 1;
-        stats.memReads += op->ti->memReadsCum;
-        stats.memWrites += op->ti->memWritesCum;
-        const TraceSegment &sg = tr->segs[op->seg];
-        state.pc = sg.guestPc;
-        stop.reason = VmStop::Halted;
-        stop.stopPc = sg.guestPc;
-        tx.kind = TraceExitKind::Stop;
+        stopTraceAt(*tr, *op, VmStop::Halted, stop, tx);
         return tx;
     }
     hipstr_assert(st == ExecStatus::Faulted);
@@ -829,33 +821,45 @@ h_TraceEnd:
     // runs the full baseline machinery from here.
     goto resume_owner;
 
-resume_owner: {
-    const TraceSegment &sg = tr->segs[op->seg];
-    state.pc = sg.guestPc;
-    tx.kind = TraceExitKind::Resume;
-    tx.blk = sg.blk;
-    tx.instIdx = op->instIdx;
+resume_owner:
+    resumeTraceOwner(*tr, *op, tx);
     return tx;
-}
 
-fault: {
-    // The faulting instruction is still accounted, exactly like the
-    // block loop's credit_through at a fault (credited base is 0
-    // inside a segment by construction).
-    stats.guestInsts += op->ti->guestCum;
-    stats.hostInsts += op->instIdx + 1;
-    stats.memReads += op->ti->memReadsCum;
-    stats.memWrites += op->ti->memWritesCum;
-    const TraceSegment &sg = tr->segs[op->seg];
-    state.pc = sg.guestPc;
-    stop.reason = VmStop::Fault;
-    stop.stopPc = sg.guestPc;
-    tx.kind = TraceExitKind::Stop;
+fault:
+    stopTraceAt(*tr, *op, VmStop::Fault, stop, tx);
     return tx;
-}
 
 #undef R
 #undef NEXTOP
+}
+
+void
+PsrVm::stopTraceAt(const SuperTrace &tr, const TraceOp &op, VmStop why,
+                   VmRunResult &stop, TraceExit &tx)
+{
+    // The stopping instruction is still accounted, exactly like the
+    // block loop's credit_through at a fault (credited base is 0
+    // inside a segment by construction).
+    stats.guestInsts += op.ti->guestCum;
+    stats.hostInsts += op.instIdx + 1;
+    stats.memReads += op.ti->memReadsCum;
+    stats.memWrites += op.ti->memWritesCum;
+    const TraceSegment &sg = tr.segs[op.seg];
+    state.pc = sg.guestPc;
+    stop.reason = why;
+    stop.stopPc = sg.guestPc;
+    tx.kind = TraceExitKind::Stop;
+}
+
+void
+PsrVm::resumeTraceOwner(const SuperTrace &tr, const TraceOp &op,
+                        TraceExit &tx)
+{
+    const TraceSegment &sg = tr.segs[op.seg];
+    state.pc = sg.guestPc;
+    tx.kind = TraceExitKind::Resume;
+    tx.blk = sg.blk;
+    tx.instIdx = op.instIdx;
 }
 
 } // namespace hipstr

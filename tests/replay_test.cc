@@ -2,9 +2,10 @@
  * @file
  * Tests for the record/replay subsystem: journal round trips,
  * bit-exact replay (full and windowed), the typed rejection of
- * damaged server and fleet journals, the pinned journal bytes,
- * guest-process checkpoint round trips across every workload/ISA/seed
- * combination, and the TCP introspection server's line protocol.
+ * damaged server and fleet journals and of damaged checkpoints, the
+ * pinned journal bytes, guest-process checkpoint round trips across
+ * every workload/ISA/seed combination, and the TCP introspection
+ * server's line protocol.
  */
 
 #include <gtest/gtest.h>
@@ -17,12 +18,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "attack/campaign.hh"
 #include "replay/introspect.hh"
+#include "replay/journal.hh"
 #include "replay/record_replay.hh"
 #include "support/hash.hh"
 #include "support/random.hh"
@@ -808,6 +811,200 @@ TEST(Checkpoint, GuestProcessRoundTripEveryWorkloadIsaSeed)
             }
         }
     }
+}
+
+namespace
+{
+
+/** The code of the SerializeError @p fn throws (a failure if none). */
+SerializeErrc
+serializeErrcOf(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const SerializeError &e) {
+        return e.code();
+    }
+    ADD_FAILURE() << "expected a SerializeError";
+    return SerializeErrc::Corrupt;
+}
+
+/** A worker that has run long enough to hold relocation maps. */
+std::unique_ptr<GuestProcess>
+warmWorker()
+{
+    GuestProcessConfig cfg;
+    cfg.pid = 1;
+    auto proc = std::make_unique<GuestProcess>(httpdBin(), cfg);
+    proc->beginService(60'000);
+    while (proc->state() == ProcState::Ready)
+        proc->runQuantum(20'000);
+    return proc;
+}
+
+} // namespace
+
+// Bytes no writer produces are refused with a typed error before they
+// can index anything: the runtime's current ISA (which picks one of
+// two VMs), and a relocation map's ISA and register bytes (which
+// index machine state through mapReg()).
+TEST(Checkpoint, OutOfRangeIsaAndRegisterBytesRejected)
+{
+    auto proc = warmWorker();
+    HipstrRuntime &rt = proc->runtime();
+    ByteWriter w;
+    rt.saveState(w);
+    for (uint8_t bad : { uint8_t(2), uint8_t(0xff) }) {
+        std::vector<uint8_t> bytes = w.data();
+        bytes[0] = bad; // the current ISA leads the runtime's image
+        ByteReader r(bytes);
+        EXPECT_EQ(serializeErrcOf([&] { rt.loadState(r); }),
+                  SerializeErrc::Corrupt)
+            << int(bad);
+    }
+
+    // Randomizer image: generation (8), RNG words (32), two phase
+    // profiles (48), the map count (4), then the first map's funcId
+    // (4), ISA (1) and register permutation.
+    Randomizer &rz = rt.vm(rt.currentIsa()).randomizer();
+    ByteWriter rw;
+    rz.saveState(rw);
+    const size_t isaAt = 8 + 32 + 48 + 4 + 4;
+    ASSERT_GT(rw.size(), isaAt + 1) << "no relocation map generated";
+    for (size_t at : { isaAt, isaAt + 1 }) {
+        for (uint8_t bad : { uint8_t(16), uint8_t(0xff) }) {
+            std::vector<uint8_t> bytes = rw.data();
+            bytes[at] = bad;
+            ByteReader r(bytes);
+            EXPECT_EQ(serializeErrcOf([&] { rz.loadState(r); }),
+                      SerializeErrc::Corrupt)
+                << "byte " << at << " = " << int(bad);
+        }
+    }
+}
+
+// A length prefix is checked against the bytes that remain before
+// anything is allocated: a 4 GiB retained-output claim in a 43-byte
+// guest-OS image fails at once instead of zero-filling 4 GiB (an
+// unchecked one fails this test under a memory limit).
+TEST(Checkpoint, OversizedLengthPrefixRejected)
+{
+    GuestOs os;
+    ByteWriter w;
+    os.saveState(w);
+    // Status and counters (39 bytes), then the u32 output length.
+    const size_t lenAt = 1 + 8 + 8 + 1 + 4 + 1 + 12 + 4;
+    ASSERT_EQ(w.size(), lenAt + 4);
+    std::vector<uint8_t> bytes = w.data();
+    for (size_t i = 0; i < 4; ++i)
+        bytes[lenAt + i] = 0xff;
+    ByteReader r(bytes);
+    EXPECT_EQ(serializeErrcOf([&] { os.loadState(r); }),
+              SerializeErrc::Truncated);
+}
+
+/** Offsets n in [0, @p size) at which @p loadPrefix(n) does not
+ *  throw SerializeError. */
+std::vector<size_t>
+truncationsThatLoad(size_t size,
+                    const std::function<void(size_t)> &loadPrefix)
+{
+    std::vector<size_t> loaded;
+    for (size_t n = 0; n < size; ++n) {
+        try {
+            loadPrefix(n);
+            loaded.push_back(n);
+        } catch (const SerializeError &) {
+        }
+    }
+    return loaded;
+}
+
+// Damage sweep over a real server checkpoint (the chaos run the
+// pinned journal records). Every truncation fails with a typed
+// error, and single bytes overwritten with 0x00 or 0xff across the
+// whole image either fail typed or load: nothing aborts or trips a
+// sanitizer, and no damaged length prefix sizes an allocation before
+// it is checked (an unchecked one asks for gigabytes, which fails
+// under ASan or a memory limit). The server a damaged load left
+// behind then restores the intact checkpoint byte for byte.
+TEST(Checkpoint, DamagedServerCheckpointFailsTyped)
+{
+    ServerConfig cfg = chaosConfig();
+    cfg.hipstr.psr.traceMode = PsrConfig::TraceMode::On;
+    std::string path = tempPath("checkpoint_damage.hjl");
+    RecordOptions opts;
+    opts.checkpointEveryRounds = 8;
+    recordRun(httpdBin(), cfg, path, nullptr, opts);
+    Journal j = parseJournal(path);
+    std::vector<uint8_t> blob;
+    for (const auto &[round, data] : j.rounds)
+        if (!data.checkpoint.empty())
+            blob = data.checkpoint; // the last one: the most state
+    ASSERT_FALSE(blob.empty());
+
+    ProtectedServer srv(httpdBin(), cfg);
+    srv.beginRun();
+    auto load = [&](const uint8_t *p, size_t n) {
+        ByteReader r(p, n);
+        srv.loadCheckpoint(r);
+    };
+
+    // The image ends with the workers' own images, in pid order.
+    load(blob.data(), blob.size());
+    std::vector<std::vector<uint8_t>> images;
+    size_t prefix = blob.size();
+    for (const auto &proc : srv.workers()) {
+        ByteWriter w;
+        proc->saveState(w);
+        images.push_back(w.data());
+        prefix -= w.size();
+    }
+    std::vector<uint8_t> tail(blob.begin() + ptrdiff_t(prefix), blob.end());
+    std::vector<uint8_t> joined;
+    for (const auto &img : images)
+        joined.insert(joined.end(), img.begin(), img.end());
+    ASSERT_EQ(tail, joined);
+
+    // Truncation at every offset of the server's own fields and of
+    // the first worker's image; the other workers' images have the
+    // same format. Loading is sequential, so a blob cut inside a
+    // worker's image loads everything before it exactly as the intact
+    // blob does and then asks that worker to load its image cut at
+    // the same point: the worker is swept directly.
+    EXPECT_EQ(truncationsThatLoad(
+                  prefix, [&](size_t n) { load(blob.data(), n); }),
+              std::vector<size_t>{});
+    GuestProcess &first = srv.worker(0);
+    EXPECT_EQ(truncationsThatLoad(images[0].size(),
+                                  [&](size_t n) {
+                                      ByteReader r(images[0].data(), n);
+                                      first.loadState(r);
+                                  }),
+              std::vector<size_t>{});
+
+    // Single damaged bytes at a fixed stride across the whole blob.
+    const size_t stride = 31;
+    size_t refused = 0, loaded = 0;
+    for (size_t at = 0; at < blob.size(); at += stride) {
+        for (uint8_t v : { uint8_t(0x00), uint8_t(0xff) }) {
+            std::vector<uint8_t> bad = blob;
+            bad[at] = v;
+            try {
+                load(bad.data(), bad.size());
+                ++loaded;
+            } catch (const SerializeError &) {
+                ++refused;
+            }
+        }
+    }
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(loaded, 0u);
+
+    load(blob.data(), blob.size());
+    ByteWriter again;
+    srv.saveCheckpoint(again);
+    EXPECT_EQ(again.data(), blob);
 }
 
 // The introspection server: line protocol over a real TCP socket —
