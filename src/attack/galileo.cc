@@ -10,15 +10,6 @@ namespace hipstr
 namespace
 {
 
-/** Ops that terminate a candidate gadget. A system call ends a
- *  gadget too: the execve gadget does not need to return. */
-bool
-isGadgetEnd(Op op)
-{
-    return op == Op::Ret || op == Op::JmpInd || op == Op::CallInd ||
-        op == Op::Syscall;
-}
-
 GadgetEnd
 endKind(Op op)
 {
@@ -28,19 +19,6 @@ endKind(Op op)
       case Op::Syscall: return GadgetEnd::Syscall;
       default: return GadgetEnd::IndirectCall;
     }
-}
-
-/**
- * Ops that break a gadget: direct control transfers leave the chain,
- * Halt stops the machine, VmExit only exists in translated code (in
- * code-cache scans it marks a dispatcher trap, which an attacker
- * cannot ride).
- */
-bool
-breaksGadget(Op op)
-{
-    return op == Op::Jmp || op == Op::Jcc || op == Op::Call ||
-        op == Op::Halt || op == Op::VmExit;
 }
 
 } // namespace
@@ -86,13 +64,19 @@ scanRegion(IsaKind isa, const std::vector<uint8_t> &bytes, Addr base,
                              base + bytes.size() - pc, pc, mi)) {
                 break;
             }
-            if (breaksGadget(mi.op))
+            // Direct transfers leave the chain, Halt stops the
+            // machine, and VmExit (only in translated code, where it
+            // marks a dispatcher trap) cannot be ridden.
+            const OpInfo &info = opInfo(mi.op);
+            if (info.terminator && !info.indirect)
                 break;
             g.insts.push_back(mi);
             if (mi.op == Op::Syscall)
                 g.hasSyscall = true;
             pc += mi.size;
-            if (isGadgetEnd(mi.op)) {
+            // Indirect transfers end a gadget, and so does a system
+            // call: the execve gadget does not need to return.
+            if (info.indirect || mi.op == Op::Syscall) {
                 if (!cfg.includeJop && mi.op != Op::Ret)
                     break;
                 g.end = endKind(mi.op);

@@ -1138,16 +1138,14 @@ TranslationContext::run(TranslateError &err)
         else if (ti.mi.op == Op::Syscall)
             ti.klass = ExecClass::Syscall;
         else
-            ti.klass = ti.guestStart ? ExecClass::GuestStartPlain
-                                     : ExecClass::Plain;
+            ti.klass = ExecClass::Plain;
 
         // Inclusive running totals (see TInst): guest boundaries over
-        // every class, data traffic only over the Plain classes whose
+        // every class, data traffic only over the Plain class whose
         // counts the VM would otherwise add per instruction.
         if (ti.guestStart)
             ++guest_cum;
-        if (ti.klass == ExecClass::Plain ||
-            ti.klass == ExecClass::GuestStartPlain) {
+        if (ti.klass == ExecClass::Plain) {
             reads_cum += ti.memReads;
             writes_cum += ti.memWrites;
         }

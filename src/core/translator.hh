@@ -108,17 +108,14 @@ struct BlockExit
 /**
  * Dense execution class, assigned at translate time so the VM's inner
  * loop is one switch per instruction instead of an op-compare cascade.
- * GuestStartPlain and Plain execute identically; the split only keeps
- * guest-boundary information available without touching guestStart.
  */
 enum class ExecClass : uint8_t
 {
-    Plain,           ///< straight-line instruction (executeInst)
-    GuestStartPlain, ///< Plain that opens a new guest instruction
-    Jcc,             ///< conditional branch wired to an exit
-    Ret,             ///< return macro-op (RAT-translated)
-    Syscall,         ///< OS entry (may redirect or exit)
-    VmExit           ///< unit exit stub
+    Plain,   ///< straight-line instruction (executeInst)
+    Jcc,     ///< conditional branch wired to an exit
+    Ret,     ///< return macro-op (RAT-translated)
+    Syscall, ///< OS entry (may redirect or exit)
+    VmExit   ///< unit exit stub
 };
 
 /** One translated instruction; exitIdx links Jcc/VmExit to an exit. */

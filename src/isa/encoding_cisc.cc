@@ -696,8 +696,6 @@ decodeCisc(const uint8_t *bytes, size_t len, Addr pc, MachInst &out)
         }
     }
     if (opc >= 0x10 && opc <= 0x13) { // adc -> add alias
-        if (!((opc & 1) ? true : true))
-            return false;
         unsigned reg_f;
         Operand rm;
         int ex = decodeModrm(bytes + 1, len - 1, reg_f, rm);

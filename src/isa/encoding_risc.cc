@@ -16,20 +16,7 @@
  *   [19:16] rm                                  -- register forms
  *   [31:8]  simm24 word offset                  -- JMP/CALL/VMEXIT
  *
- * Opcode map:
- *   0x01 nop          0x02 halt         0x03 syscall
- *   0x04 mov rd,rn    0x05 mov rd,simm16  0x06 movhi rd,imm16
- *   0x07 load rd,[rn+simm16]   0x08 store [rn+simm16],rd
- *   0x09 lea rd,rn+simm16
- *   0x0a loadb rd,[rn+simm16]  0x0b storeb [rn+simm16],rd
- *   0x10..0x19 ALU rd,rn,rm   (add sub and or xor shl shr sar mul divu)
- *   0x20..0x29 ALU rd,rn,simm16
- *   0x30 cmp rn,rm    0x31 cmp rn,simm16
- *   0x32 test rn,rm   0x33 test rn,simm16
- *   0x34 jmp simm24   0x35 jcc(rd=cc) simm16
- *   0x36 call simm24  0x37 jmpind rn    0x38 callind rn
- *   0x39 popret (ret: pc <- [sp]; sp += 4)
- *   0x3a vmexit imm24 (translator-only)
+ * The opcode map is kRiscFormats below.
  *
  * Opcode 0x00 (an all-zero word) deliberately does not decode, so
  * zero-filled memory is not executable.
@@ -49,46 +36,151 @@ namespace detail
 namespace
 {
 
-constexpr uint8_t kOpNop = 0x01;
-constexpr uint8_t kOpHalt = 0x02;
-constexpr uint8_t kOpSyscall = 0x03;
-constexpr uint8_t kOpMovRR = 0x04;
-constexpr uint8_t kOpMovRI = 0x05;
-constexpr uint8_t kOpMovHi = 0x06;
-constexpr uint8_t kOpLoad = 0x07;
-constexpr uint8_t kOpStore = 0x08;
-constexpr uint8_t kOpLea = 0x09;
-constexpr uint8_t kOpLoadB = 0x0a;
-constexpr uint8_t kOpStoreB = 0x0b;
-constexpr uint8_t kOpAluRRR = 0x10;
-constexpr uint8_t kOpAluRRI = 0x20;
-constexpr uint8_t kOpCmpRR = 0x30;
-constexpr uint8_t kOpCmpRI = 0x31;
-constexpr uint8_t kOpTestRR = 0x32;
-constexpr uint8_t kOpTestRI = 0x33;
-constexpr uint8_t kOpJmp = 0x34;
-constexpr uint8_t kOpJcc = 0x35;
-constexpr uint8_t kOpCall = 0x36;
-constexpr uint8_t kOpJmpInd = 0x37;
-constexpr uint8_t kOpCallInd = 0x38;
-constexpr uint8_t kOpPopRet = 0x39;
-constexpr uint8_t kOpVmExit = 0x3a;
-
-/** Order of ALU ops in the 0x10/0x20 groups. */
-const Op kAluOrder[] = {
-    Op::Add, Op::Sub, Op::And, Op::Or, Op::Xor,
-    Op::Shl, Op::Shr, Op::Sar, Op::Mul, Op::Divu
-};
-constexpr unsigned kNumAlu = 10;
-
-int
-aluIndex(Op op)
+/** Operand layout of one Risc opcode. */
+enum class RiscForm : uint8_t
 {
-    for (unsigned i = 0; i < kNumAlu; ++i)
-        if (kAluOrder[i] == op)
-            return static_cast<int>(i);
-    return -1;
+    Invalid,  ///< the opcode does not decode
+    Bare,     ///< no operands
+    MovRR,    ///< rd <- rn
+    ImmS16,   ///< rd, simm16
+    ImmU16,   ///< rd, imm16 (zero-extended)
+    RegMem,   ///< rd, [rn+simm16]
+    MemReg,   ///< [rn+simm16], rd
+    AluRR,    ///< rd, rn, rm
+    AluRI,    ///< rd, rn, simm16
+    FlagRR,   ///< rn, rm
+    FlagRI,   ///< rn, simm16
+    Branch24, ///< simm24 word offset
+    Branch16, ///< rd = condition code, simm16 word offset
+    IndReg,   ///< rn
+    Imm24     ///< imm24
+};
+
+/** One opcode: the op it decodes to and its operand layout. */
+struct RiscFormat
+{
+    uint8_t opcode;
+    Op op;
+    RiscForm form;
+};
+
+/**
+ * The opcode map. The k-th ALU op of the op list (HIPSTR_ALU_OPS:
+ * add sub and or xor shl shr sar mul divu) adds two more rows, 0x10+k
+ * in the AluRR form and 0x20+k in the AluRI form.
+ */
+constexpr RiscFormat kRiscFormats[] = {
+    { 0x01, Op::Nop, RiscForm::Bare },
+    { 0x02, Op::Halt, RiscForm::Bare },
+    { 0x03, Op::Syscall, RiscForm::Bare },
+    { 0x04, Op::Mov, RiscForm::MovRR },
+    { 0x05, Op::Mov, RiscForm::ImmS16 },
+    { 0x06, Op::MovHi, RiscForm::ImmU16 },
+    { 0x07, Op::Mov, RiscForm::RegMem },   // load
+    { 0x08, Op::Mov, RiscForm::MemReg },   // store
+    { 0x09, Op::Lea, RiscForm::RegMem },
+    { 0x0a, Op::Movb, RiscForm::RegMem },  // loadb
+    { 0x0b, Op::Movb, RiscForm::MemReg },  // storeb
+    { 0x30, Op::Cmp, RiscForm::FlagRR },
+    { 0x31, Op::Cmp, RiscForm::FlagRI },
+    { 0x32, Op::Test, RiscForm::FlagRR },
+    { 0x33, Op::Test, RiscForm::FlagRI },
+    { 0x34, Op::Jmp, RiscForm::Branch24 },
+    { 0x35, Op::Jcc, RiscForm::Branch16 },
+    { 0x36, Op::Call, RiscForm::Branch24 },
+    { 0x37, Op::JmpInd, RiscForm::IndReg },
+    { 0x38, Op::CallInd, RiscForm::IndReg },
+    { 0x39, Op::Ret, RiscForm::Bare },     // popret: pc <- [sp]; sp += 4
+    { 0x3a, Op::VmExit, RiscForm::Imm24 }, // translator-only
+};
+constexpr uint8_t kAluRR = 0x10;
+constexpr uint8_t kAluRI = 0x20;
+
+/**
+ * True when @p form encodes an instruction whose dst, src1 and src2
+ * have these Operand::Kind values; operands a form does not encode
+ * are not checked.
+ */
+constexpr bool
+formTakes(RiscForm form, unsigned dst, unsigned src1, unsigned src2)
+{
+    constexpr unsigned R = static_cast<unsigned>(Operand::Kind::Reg);
+    constexpr unsigned I = static_cast<unsigned>(Operand::Kind::Imm);
+    constexpr unsigned M = static_cast<unsigned>(Operand::Kind::Mem);
+    switch (form) {
+      case RiscForm::Invalid:
+        return false;
+      case RiscForm::Bare:
+      case RiscForm::Branch24:
+      case RiscForm::Branch16:
+        return true;
+      case RiscForm::MovRR:
+        return dst == R && src1 == R;
+      case RiscForm::ImmS16:
+      case RiscForm::ImmU16:
+        return dst == R && src1 == I;
+      case RiscForm::RegMem:
+        return dst == R && src1 == M;
+      case RiscForm::MemReg:
+        return dst == M && src1 == R;
+      case RiscForm::AluRR:
+        return dst == R && src1 == R && src2 == R;
+      case RiscForm::AluRI:
+        return dst == R && src1 == R && src2 == I;
+      case RiscForm::FlagRR:
+        return src1 == R && src2 == R;
+      case RiscForm::FlagRI:
+        return src1 == R && src2 == I;
+      case RiscForm::IndReg:
+        return src1 == R;
+      case RiscForm::Imm24:
+        return src1 == I;
+    }
+    return false;
 }
+
+/** The operand kinds of @p mi packed as formTakes' index. */
+unsigned
+kindsOf(const MachInst &mi)
+{
+    return static_cast<unsigned>(mi.dst.kind) << 4 |
+        static_cast<unsigned>(mi.src1.kind) << 2 |
+        static_cast<unsigned>(mi.src2.kind);
+}
+
+/** The opcode map indexed by opcode and by (op, operand kinds). */
+struct RiscTables
+{
+    RiscFormat byOpcode[256];      ///< form Invalid where nothing decodes
+    uint8_t byOpKinds[kNumOps][64]; ///< opcode, 0 where none encodes
+};
+
+constexpr RiscTables
+buildRiscTables()
+{
+    RiscTables t{};
+    auto add = [&t](uint8_t opcode, Op op, RiscForm form) {
+        t.byOpcode[opcode] = { opcode, op, form };
+        for (unsigned k = 0; k < 64; ++k)
+            if (formTakes(form, k >> 4, (k >> 2) & 3, k & 3))
+                t.byOpKinds[static_cast<unsigned>(op)][k] = opcode;
+    };
+    for (const RiscFormat &f : kRiscFormats)
+        add(f.opcode, f.op, f.form);
+    uint8_t k = 0;
+    for (unsigned o = 0; o < kNumOps; ++o) {
+        if (!kOpInfo[o].alu)
+            continue;
+        add(static_cast<uint8_t>(kAluRR + k), static_cast<Op>(o),
+            RiscForm::AluRR);
+        add(static_cast<uint8_t>(kAluRI + k), static_cast<Op>(o),
+            RiscForm::AluRI);
+        ++k;
+    }
+    return t;
+}
+
+constexpr RiscTables kRisc = buildRiscTables();
 
 uint32_t
 pack(uint8_t opcode, unsigned rd, unsigned rn, uint32_t imm16)
@@ -126,10 +218,32 @@ validReg(Reg r)
     return r < risc::kNumRegs;
 }
 
-} // namespace
-
+/** True when @p mi's immediates and displacements fit @p form. */
 bool
-encodableRisc(const MachInst &mi)
+inRange(RiscForm form, const MachInst &mi)
+{
+    switch (form) {
+      case RiscForm::ImmS16:
+        return fitsSigned(mi.src1.disp, 16);
+      case RiscForm::ImmU16:
+        return mi.src1.disp >= 0 && mi.src1.disp <= 0xffff;
+      case RiscForm::RegMem:
+        return fitsSigned(mi.src1.disp, 16);
+      case RiscForm::MemReg:
+        return fitsSigned(mi.dst.disp, 16);
+      case RiscForm::AluRI:
+      case RiscForm::FlagRI:
+        return fitsSigned(mi.src2.disp, 16);
+      case RiscForm::Imm24:
+        return mi.src1.disp >= 0 && mi.src1.disp < (1 << 24);
+      default:
+        return true;
+    }
+}
+
+/** The opcode row that encodes @p mi, or nullptr. */
+const RiscFormat *
+riscFormatOf(const MachInst &mi)
 {
     auto reg_ok = [](const Operand &o) {
         if (o.isReg())
@@ -139,190 +253,87 @@ encodableRisc(const MachInst &mi)
         return true;
     };
     if (!reg_ok(mi.dst) || !reg_ok(mi.src1) || !reg_ok(mi.src2))
-        return false;
+        return nullptr;
+    const uint8_t opcode =
+        kRisc.byOpKinds[static_cast<unsigned>(mi.op)][kindsOf(mi)];
+    if (opcode == 0)
+        return nullptr;
+    const RiscFormat &f = kRisc.byOpcode[opcode];
+    return inRange(f.form, mi) ? &f : nullptr;
+}
 
-    auto imm16_ok = [](int32_t v) { return fitsSigned(v, 16); };
+} // namespace
 
-    switch (mi.op) {
-      case Op::Nop:
-      case Op::Halt:
-      case Op::Syscall:
-      case Op::Ret:
-      case Op::Jmp:
-      case Op::Call:
-      case Op::Jcc:
-        return true;
-      case Op::VmExit:
-        return mi.src1.isImm() && mi.src1.disp >= 0 &&
-            mi.src1.disp < (1 << 24);
-      case Op::JmpInd:
-      case Op::CallInd:
-        return mi.src1.isReg();
-      case Op::MovHi:
-        return mi.dst.isReg() && mi.src1.isImm() &&
-            mi.src1.disp >= 0 && mi.src1.disp <= 0xffff;
-      case Op::Movb:
-        if (mi.dst.isReg())
-            return mi.src1.isMem() && imm16_ok(mi.src1.disp);
-        return mi.dst.isMem() && mi.src1.isReg() &&
-            imm16_ok(mi.dst.disp);
-      case Op::Mov:
-        if (!mi.dst.isReg() && !mi.dst.isMem())
-            return false;
-        if (mi.dst.isReg()) {
-            if (mi.src1.isReg())
-                return true;
-            if (mi.src1.isImm())
-                return imm16_ok(mi.src1.disp);
-            if (mi.src1.isMem())
-                return imm16_ok(mi.src1.disp);
-            return false;
-        }
-        // store: only register sources, imm16 displacement
-        return mi.src1.isReg() && imm16_ok(mi.dst.disp);
-      case Op::Lea:
-        return mi.dst.isReg() && mi.src1.isMem() &&
-            imm16_ok(mi.src1.disp);
-      case Op::Cmp:
-      case Op::Test:
-        if (!mi.src1.isReg())
-            return false;
-        if (mi.src2.isReg())
-            return true;
-        return mi.src2.isImm() && imm16_ok(mi.src2.disp);
-      case Op::Push:
-      case Op::Pop:
-        return false; // load/store architecture: no push/pop
-      default: {
-        // Three-address ALU.
-        if (aluIndex(mi.op) < 0)
-            return false;
-        if (!mi.dst.isReg() || !mi.src1.isReg())
-            return false;
-        if (mi.src2.isReg())
-            return true;
-        return mi.src2.isImm() && imm16_ok(mi.src2.disp);
-      }
-    }
+bool
+encodableRisc(const MachInst &mi)
+{
+    return riscFormatOf(mi) != nullptr;
 }
 
 void
 encodeRisc(const MachInst &mi, Addr pc, std::vector<uint8_t> &out)
 {
-    hipstr_assert(encodableRisc(mi));
+    const RiscFormat *f = riscFormatOf(mi);
+    hipstr_assert(f != nullptr);
 
-    auto word_off = [&]() {
+    auto checked_off = [&](unsigned width) {
         // Signed word offset relative to the *next* instruction.
         int32_t delta = static_cast<int32_t>(mi.target) -
             static_cast<int32_t>(pc + 4);
         hipstr_assert(delta % 4 == 0);
-        return delta / 4;
-    };
-    auto checked_off = [&](unsigned width) {
-        int32_t off = word_off();
+        int32_t off = delta / 4;
         hipstr_assert(fitsSigned(off, width));
-        return off;
+        return static_cast<uint32_t>(off);
     };
+    auto u = [](int32_t v) { return static_cast<uint32_t>(v); };
 
-    switch (mi.op) {
-      case Op::Nop:
-        emitWord(out, pack(kOpNop, 0, 0, 0));
-        return;
-      case Op::Halt:
-        emitWord(out, pack(kOpHalt, 0, 0, 0));
-        return;
-      case Op::Syscall:
-        emitWord(out, pack(kOpSyscall, 0, 0, 0));
-        return;
-      case Op::Ret:
-        emitWord(out, pack(kOpPopRet, 0, 0, 0));
-        return;
-      case Op::Mov:
-        if (mi.dst.isReg() && mi.src1.isReg()) {
-            emitWord(out, pack(kOpMovRR, mi.dst.reg, mi.src1.reg, 0));
-        } else if (mi.dst.isReg() && mi.src1.isImm()) {
-            emitWord(out, pack(kOpMovRI, mi.dst.reg, 0,
-                               static_cast<uint32_t>(mi.src1.disp)));
-        } else if (mi.dst.isReg() && mi.src1.isMem()) {
-            emitWord(out, pack(kOpLoad, mi.dst.reg, mi.src1.base,
-                               static_cast<uint32_t>(mi.src1.disp)));
-        } else {
-            emitWord(out, pack(kOpStore, mi.src1.reg, mi.dst.base,
-                               static_cast<uint32_t>(mi.dst.disp)));
-        }
-        return;
-      case Op::MovHi:
-        emitWord(out, pack(kOpMovHi, mi.dst.reg, 0,
-                           static_cast<uint32_t>(mi.src1.disp)));
-        return;
-      case Op::Movb:
-        if (mi.dst.isReg()) {
-            emitWord(out, pack(kOpLoadB, mi.dst.reg, mi.src1.base,
-                               static_cast<uint32_t>(mi.src1.disp)));
-        } else {
-            emitWord(out, pack(kOpStoreB, mi.src1.reg, mi.dst.base,
-                               static_cast<uint32_t>(mi.dst.disp)));
-        }
-        return;
-      case Op::Lea:
-        emitWord(out, pack(kOpLea, mi.dst.reg, mi.src1.base,
-                           static_cast<uint32_t>(mi.src1.disp)));
-        return;
-      case Op::Cmp:
-        if (mi.src2.isReg()) {
-            emitWord(out, packRRR(kOpCmpRR, 0, mi.src1.reg,
-                                  mi.src2.reg));
-        } else {
-            emitWord(out, pack(kOpCmpRI, 0, mi.src1.reg,
-                               static_cast<uint32_t>(mi.src2.disp)));
-        }
-        return;
-      case Op::Test:
-        if (mi.src2.isReg()) {
-            emitWord(out, packRRR(kOpTestRR, 0, mi.src1.reg,
-                                  mi.src2.reg));
-        } else {
-            emitWord(out, pack(kOpTestRI, 0, mi.src1.reg,
-                               static_cast<uint32_t>(mi.src2.disp)));
-        }
-        return;
-      case Op::Jmp:
-        emitWord(out, pack24(kOpJmp,
-                             static_cast<uint32_t>(checked_off(24))));
-        return;
-      case Op::Call:
-        emitWord(out, pack24(kOpCall,
-                             static_cast<uint32_t>(checked_off(24))));
-        return;
-      case Op::Jcc:
-        emitWord(out, pack(kOpJcc, static_cast<unsigned>(mi.cond), 0,
-                           static_cast<uint32_t>(checked_off(16))));
-        return;
-      case Op::JmpInd:
-        emitWord(out, pack(kOpJmpInd, 0, mi.src1.reg, 0));
-        return;
-      case Op::CallInd:
-        emitWord(out, pack(kOpCallInd, 0, mi.src1.reg, 0));
-        return;
-      case Op::VmExit:
-        emitWord(out, pack24(kOpVmExit,
-                             static_cast<uint32_t>(mi.src1.disp)));
-        return;
-      default: {
-        int idx = aluIndex(mi.op);
-        hipstr_assert(idx >= 0);
-        if (mi.src2.isReg()) {
-            emitWord(out, packRRR(static_cast<uint8_t>(kOpAluRRR + idx),
-                                  mi.dst.reg, mi.src1.reg,
-                                  mi.src2.reg));
-        } else {
-            emitWord(out, pack(static_cast<uint8_t>(kOpAluRRI + idx),
-                               mi.dst.reg, mi.src1.reg,
-                               static_cast<uint32_t>(mi.src2.disp)));
-        }
-        return;
-      }
+    const uint8_t op = f->opcode;
+    uint32_t w = 0;
+    switch (f->form) {
+      case RiscForm::Invalid:
+        hipstr_panic("encodeRisc: no form for %s", opName(mi.op));
+      case RiscForm::Bare:
+        w = pack(op, 0, 0, 0);
+        break;
+      case RiscForm::MovRR:
+        w = pack(op, mi.dst.reg, mi.src1.reg, 0);
+        break;
+      case RiscForm::ImmS16:
+      case RiscForm::ImmU16:
+        w = pack(op, mi.dst.reg, 0, u(mi.src1.disp));
+        break;
+      case RiscForm::RegMem:
+        w = pack(op, mi.dst.reg, mi.src1.base, u(mi.src1.disp));
+        break;
+      case RiscForm::MemReg:
+        w = pack(op, mi.src1.reg, mi.dst.base, u(mi.dst.disp));
+        break;
+      case RiscForm::AluRR:
+        w = packRRR(op, mi.dst.reg, mi.src1.reg, mi.src2.reg);
+        break;
+      case RiscForm::AluRI:
+        w = pack(op, mi.dst.reg, mi.src1.reg, u(mi.src2.disp));
+        break;
+      case RiscForm::FlagRR:
+        w = packRRR(op, 0, mi.src1.reg, mi.src2.reg);
+        break;
+      case RiscForm::FlagRI:
+        w = pack(op, 0, mi.src1.reg, u(mi.src2.disp));
+        break;
+      case RiscForm::Branch24:
+        w = pack24(op, checked_off(24));
+        break;
+      case RiscForm::Branch16:
+        w = pack(op, static_cast<unsigned>(mi.cond), 0, checked_off(16));
+        break;
+      case RiscForm::IndReg:
+        w = pack(op, 0, mi.src1.reg, 0);
+        break;
+      case RiscForm::Imm24:
+        w = pack24(op, u(mi.src1.disp));
+        break;
     }
+    emitWord(out, w);
 }
 
 unsigned
@@ -341,7 +352,7 @@ decodeRisc(const uint8_t *bytes, size_t len, Addr pc, MachInst &out)
     uint32_t w;
     std::memcpy(&w, bytes, 4);
 
-    uint8_t opcode = static_cast<uint8_t>(w & 0xff);
+    const RiscFormat &f = kRisc.byOpcode[w & 0xff];
     Reg rd = static_cast<Reg>((w >> 8) & 0xf);
     Reg rn = static_cast<Reg>((w >> 12) & 0xf);
     Reg rm = static_cast<Reg>((w >> 16) & 0xf);
@@ -350,6 +361,7 @@ decodeRisc(const uint8_t *bytes, size_t len, Addr pc, MachInst &out)
 
     out = MachInst{};
     out.size = 4;
+    out.op = f.op;
 
     auto branch_target = [&](int32_t word_off) {
         return static_cast<Addr>(
@@ -357,128 +369,67 @@ decodeRisc(const uint8_t *bytes, size_t len, Addr pc, MachInst &out)
             static_cast<int64_t>(word_off) * 4);
     };
 
-    switch (opcode) {
-      case kOpNop:
-        out.op = Op::Nop;
+    switch (f.form) {
+      case RiscForm::Invalid:
+        return false;
+      case RiscForm::Bare:
         return true;
-      case kOpHalt:
-        out.op = Op::Halt;
-        return true;
-      case kOpSyscall:
-        out.op = Op::Syscall;
-        return true;
-      case kOpMovRR:
-        out.op = Op::Mov;
+      case RiscForm::MovRR:
         out.dst = Operand::makeReg(rd);
         out.src1 = Operand::makeReg(rn);
         return true;
-      case kOpMovRI:
-        out.op = Op::Mov;
+      case RiscForm::ImmS16:
         out.dst = Operand::makeReg(rd);
         out.src1 = Operand::makeImm(simm16);
         return true;
-      case kOpMovHi:
-        out.op = Op::MovHi;
+      case RiscForm::ImmU16:
         out.dst = Operand::makeReg(rd);
         out.src1 = Operand::makeImm(
             static_cast<int32_t>((w >> 16) & 0xffff));
         return true;
-      case kOpLoad:
-        out.op = Op::Mov;
+      case RiscForm::RegMem:
         out.dst = Operand::makeReg(rd);
         out.src1 = Operand::makeMem(rn, simm16);
         return true;
-      case kOpStore:
-        out.op = Op::Mov;
+      case RiscForm::MemReg:
         out.dst = Operand::makeMem(rn, simm16);
         out.src1 = Operand::makeReg(rd);
         return true;
-      case kOpLea:
-        out.op = Op::Lea;
+      case RiscForm::AluRR:
         out.dst = Operand::makeReg(rd);
-        out.src1 = Operand::makeMem(rn, simm16);
-        return true;
-      case kOpLoadB:
-        out.op = Op::Movb;
-        out.dst = Operand::makeReg(rd);
-        out.src1 = Operand::makeMem(rn, simm16);
-        return true;
-      case kOpStoreB:
-        out.op = Op::Movb;
-        out.dst = Operand::makeMem(rn, simm16);
-        out.src1 = Operand::makeReg(rd);
-        return true;
-      case kOpCmpRR:
-        out.op = Op::Cmp;
         out.src1 = Operand::makeReg(rn);
         out.src2 = Operand::makeReg(rm);
         return true;
-      case kOpCmpRI:
-        out.op = Op::Cmp;
+      case RiscForm::AluRI:
+        out.dst = Operand::makeReg(rd);
         out.src1 = Operand::makeReg(rn);
         out.src2 = Operand::makeImm(simm16);
         return true;
-      case kOpTestRR:
-        out.op = Op::Test;
+      case RiscForm::FlagRR:
         out.src1 = Operand::makeReg(rn);
         out.src2 = Operand::makeReg(rm);
         return true;
-      case kOpTestRI:
-        out.op = Op::Test;
+      case RiscForm::FlagRI:
         out.src1 = Operand::makeReg(rn);
         out.src2 = Operand::makeImm(simm16);
         return true;
-      case kOpJmp:
-        out.op = Op::Jmp;
+      case RiscForm::Branch24:
         out.target = branch_target(simm24);
         return true;
-      case kOpCall:
-        out.op = Op::Call;
-        out.target = branch_target(simm24);
-        return true;
-      case kOpJcc: {
+      case RiscForm::Branch16:
         if (rd >= kNumConds)
             return false;
-        out.op = Op::Jcc;
         out.cond = static_cast<Cond>(rd);
         out.target = branch_target(simm16);
         return true;
-      }
-      case kOpJmpInd:
-        out.op = Op::JmpInd;
+      case RiscForm::IndReg:
         out.src1 = Operand::makeReg(rn);
         return true;
-      case kOpCallInd:
-        out.op = Op::CallInd;
-        out.src1 = Operand::makeReg(rn);
-        return true;
-      case kOpPopRet:
-        out.op = Op::Ret;
-        return true;
-      case kOpVmExit:
-        out.op = Op::VmExit;
+      case RiscForm::Imm24:
         out.src1 = Operand::makeImm(
             static_cast<int32_t>((w >> 8) & 0xffffff));
         return true;
-      default:
-        break;
     }
-
-    if (opcode >= kOpAluRRR && opcode < kOpAluRRR + kNumAlu) {
-        out.op = kAluOrder[opcode - kOpAluRRR];
-        out.dst = Operand::makeReg(rd);
-        out.src1 = Operand::makeReg(rn);
-        out.src2 = Operand::makeReg(rm);
-        return true;
-    }
-    if (opcode >= kOpAluRRI && opcode < kOpAluRRI + kNumAlu) {
-        out.op = kAluOrder[opcode - kOpAluRRI];
-        out.dst = Operand::makeReg(rd);
-        out.src1 = Operand::makeReg(rn);
-        out.src2 = Operand::makeImm(simm16);
-        return true;
-    }
-
     return false;
 }
 

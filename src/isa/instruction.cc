@@ -7,66 +7,6 @@
 namespace hipstr
 {
 
-const char *
-opName(Op op)
-{
-    switch (op) {
-      case Op::Nop: return "nop";
-      case Op::Mov: return "mov";
-      case Op::Movb: return "movb";
-      case Op::Lea: return "lea";
-      case Op::MovHi: return "movhi";
-      case Op::Add: return "add";
-      case Op::Sub: return "sub";
-      case Op::And: return "and";
-      case Op::Or: return "or";
-      case Op::Xor: return "xor";
-      case Op::Shl: return "shl";
-      case Op::Shr: return "shr";
-      case Op::Sar: return "sar";
-      case Op::Mul: return "mul";
-      case Op::Divu: return "divu";
-      case Op::Cmp: return "cmp";
-      case Op::Test: return "test";
-      case Op::Jmp: return "jmp";
-      case Op::Jcc: return "jcc";
-      case Op::JmpInd: return "jmpind";
-      case Op::Call: return "call";
-      case Op::CallInd: return "callind";
-      case Op::Ret: return "ret";
-      case Op::Push: return "push";
-      case Op::Pop: return "pop";
-      case Op::Syscall: return "syscall";
-      case Op::Halt: return "halt";
-      case Op::VmExit: return "vmexit";
-    }
-    return "?";
-}
-
-bool
-isBlockTerminator(Op op)
-{
-    switch (op) {
-      case Op::Jmp:
-      case Op::Jcc:
-      case Op::JmpInd:
-      case Op::Call:
-      case Op::CallInd:
-      case Op::Ret:
-      case Op::Halt:
-      case Op::VmExit:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-isIndirectTransfer(Op op)
-{
-    return op == Op::JmpInd || op == Op::CallInd || op == Op::Ret;
-}
-
 MachInst
 MachInst::nop()
 {

@@ -20,42 +20,116 @@
 namespace hipstr
 {
 
-/** Semantic opcodes shared by both ISAs. */
+/**
+ * The three-address ALU ops (dst <- src1 OP src2), in the order the
+ * Risc ALU opcode groups and the trace-handler families follow. Rows
+ * are A(ctx, Op, mnemonic); @p ctx is passed through untouched, so a
+ * list built from this one can hand its own row macro along.
+ */
+#define HIPSTR_ALU_OPS(A, ctx)                                        \
+    A(ctx, Add, "add") A(ctx, Sub, "sub") A(ctx, And, "and")          \
+    A(ctx, Or, "or") A(ctx, Xor, "xor") A(ctx, Shl, "shl")            \
+    A(ctx, Shr, "shr") A(ctx, Sar, "sar") A(ctx, Mul, "mul")          \
+    A(ctx, Divu, "divu")
+
+/**
+ * The one op list: the semantic opcodes both ISAs decode into. Rows
+ * are X(Op, mnemonic, terminator, indirect, alu, stack): whether the
+ * op ends a basic block, whether its target is not statically known,
+ * whether it is a three-address ALU op, and the implicit stack access
+ * it makes (a StackAccess enumerator).
+ */
+#define HIPSTR_OPS(X)                                                 \
+    X(Nop, "nop", false, false, false, None)                          \
+    /* dst <- src1 (generalizes load/store/move/load-imm) */          \
+    X(Mov, "mov", false, false, false, None)                          \
+    /* byte variant: reg <- zext(mem8[..]) or mem8[..] <- low8 */     \
+    X(Movb, "movb", false, false, false, None)                        \
+    /* dst(reg) <- effective address of src1(mem) */                  \
+    X(Lea, "lea", false, false, false, None)                          \
+    /* dst(reg) <- (dst & 0xffff) | (imm16 << 16); Risc only */       \
+    X(MovHi, "movhi", false, false, false, None)                      \
+    HIPSTR_ALU_OPS(HIPSTR_OP_ALU_ROW, X)                              \
+    /* set flags from src1 - src2 */                                  \
+    X(Cmp, "cmp", false, false, false, None)                          \
+    /* set flags from src1 & src2 */                                  \
+    X(Test, "test", false, false, false, None)                        \
+    /* unconditional pc-relative branch */                            \
+    X(Jmp, "jmp", true, false, false, None)                           \
+    /* conditional branch on cond */                                  \
+    X(Jcc, "jcc", true, false, false, None)                           \
+    /* pc <- src1(reg) */                                             \
+    X(JmpInd, "jmpind", true, true, false, None)                      \
+    /* direct call; Cisc pushes return addr, Risc sets LR */          \
+    X(Call, "call", true, false, false, CallPush)                     \
+    /* indirect call through src1(reg) */                             \
+    X(CallInd, "callind", true, true, false, CallPush)                \
+    /* pc <- mem[sp]; sp += 4 (Risc POPRET has identical semantics;   \
+       the fused epilogue keeps return addresses stack-resident on    \
+       both ISAs) */                                                  \
+    X(Ret, "ret", true, true, false, Pop)                             \
+    /* Cisc only: sp -= 4; mem[sp] <- src1 */                         \
+    X(Push, "push", false, false, false, Push)                        \
+    /* Cisc only: dst <- mem[sp]; sp += 4 */                          \
+    X(Pop, "pop", false, false, false, Pop)                           \
+    /* system call; number in retReg, args in argRegs[1..] */         \
+    X(Syscall, "syscall", false, false, false, None)                  \
+    /* stop the machine */                                            \
+    X(Halt, "halt", true, false, false, None)                         \
+    /* translator-only pseudo-op: trap to the dispatcher with exit    \
+       descriptor index in src1(imm) */                               \
+    X(VmExit, "vmexit", true, false, false, None)
+
+#define HIPSTR_OP_ALU_ROW(X, op, name) X(op, name, false, false, true, None)
+
+/** Semantic opcodes shared by both ISAs (see HIPSTR_OPS). */
 enum class Op : uint8_t
 {
-    Nop,
-    Mov,     ///< dst <- src1 (generalizes load/store/move/load-imm)
-    Movb,    ///< byte variant: reg <- zext(mem8[..]) or mem8[..] <- low8
-    Lea,     ///< dst(reg) <- effective address of src1(mem)
-    MovHi,   ///< dst(reg) <- (dst & 0xffff) | (imm16 << 16); Risc only
-    Add, Sub, And, Or, Xor, Shl, Shr, Sar, Mul, Divu,
-    Cmp,     ///< set flags from src1 - src2
-    Test,    ///< set flags from src1 & src2
-    Jmp,     ///< unconditional pc-relative branch
-    Jcc,     ///< conditional branch on @c cond
-    JmpInd,  ///< pc <- src1(reg)
-    Call,    ///< direct call; Cisc pushes return addr, Risc sets LR
-    CallInd, ///< indirect call through src1(reg)
-    Ret,     ///< pc <- mem[sp]; sp += 4 (Risc POPRET has identical
-             ///< semantics; the fused epilogue keeps return addresses
-             ///< stack-resident on both ISAs)
-    Push,    ///< Cisc only: sp -= 4; mem[sp] <- src1
-    Pop,     ///< Cisc only: dst <- mem[sp]; sp += 4
-    Syscall, ///< system call; number in retReg, args in argRegs[1..]
-    Halt,    ///< stop the machine
-    VmExit   ///< translator-only pseudo-op: trap to the dispatcher with
-             ///< exit descriptor index in src1(imm)
+#define HIPSTR_OP_ENUM(op, ...) op,
+    HIPSTR_OPS(HIPSTR_OP_ENUM)
+#undef HIPSTR_OP_ENUM
 };
 
 constexpr unsigned kNumOps = static_cast<unsigned>(Op::VmExit) + 1;
 
-const char *opName(Op op);
+/** The implicit stack access an op makes besides its operands. */
+enum class StackAccess : uint8_t
+{
+    None,
+    Push,     ///< writes the new top of stack (sp - 4)
+    CallPush, ///< pushes the return address where calls link through
+              ///< the stack (Cisc; Risc links through a register)
+    Pop       ///< reads the current top of stack
+};
 
-/** True for ops that end a basic block. */
-bool isBlockTerminator(Op op);
+/** One row of the op list. */
+struct OpInfo
+{
+    const char *name;
+    bool terminator; ///< ends a basic block
+    bool indirect;   ///< target not statically known
+    bool alu;        ///< three-address ALU op
+    StackAccess stack;
+};
 
-/** True for control transfers whose target is not statically known. */
-bool isIndirectTransfer(Op op);
+inline constexpr OpInfo kOpInfo[kNumOps] = {
+#define HIPSTR_OP_INFO(op, name, term, ind, alu, stack)               \
+    { name, term, ind, alu, StackAccess::stack },
+    HIPSTR_OPS(HIPSTR_OP_INFO)
+#undef HIPSTR_OP_INFO
+};
+
+constexpr const OpInfo &
+opInfo(Op op)
+{
+    return kOpInfo[static_cast<unsigned>(op)];
+}
+
+inline const char *
+opName(Op op)
+{
+    return static_cast<unsigned>(op) < kNumOps ? opInfo(op).name : "?";
+}
 
 /** An instruction operand. */
 struct Operand
@@ -143,7 +217,7 @@ struct MachInst
     /** Encoded size in bytes (filled by the decoder/assembler). */
     uint8_t size = 0;
 
-    bool isTerminator() const { return isBlockTerminator(op); }
+    bool isTerminator() const { return opInfo(op).terminator; }
 
     /** Convenience constructors. @{ */
     static MachInst nop();

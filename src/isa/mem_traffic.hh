@@ -40,10 +40,10 @@ struct MemCounts
  *
  *  - Mov/Movb move a value from src1 to dst; any other op reads
  *    src1/src2 and writes dst (memory operands only).
- *  - Push writes the new top of stack on every ISA; Call/CallInd
- *    push a return address only on the Cisc ISA (the Risc ISA links
- *    through a register).
- *  - Pop and Ret read the current top of stack.
+ *  - The implicit stack access is the op's StackAccess row: Push
+ *    writes the new top of stack on every ISA, Call/CallInd push a
+ *    return address only on the Cisc ISA (the Risc ISA links through
+ *    a register), Pop and Ret read the current top of stack.
  *
  * Control-transfer target reads (JmpInd/CallInd through memory) are
  * accounted by the dispatcher that resolves them, not here.
@@ -60,20 +60,18 @@ walkMemAccesses(const MachInst &mi, IsaKind isa, Cb &&cb)
     if (mi.op != Op::Mov && mi.op != Op::Movb)
         operand(mi.src2, false);
     operand(mi.dst, true);
-    switch (mi.op) {
-      case Op::Push:
+    switch (opInfo(mi.op).stack) {
+      case StackAccess::CallPush:
+        if (isa != IsaKind::Cisc)
+            break;
+        [[fallthrough]];
+      case StackAccess::Push:
         cb(nullptr, -4, true);
         break;
-      case Op::Call:
-      case Op::CallInd:
-        if (isa == IsaKind::Cisc)
-            cb(nullptr, -4, true);
-        break;
-      case Op::Pop:
-      case Op::Ret:
+      case StackAccess::Pop:
         cb(nullptr, 0, false);
         break;
-      default:
+      case StackAccess::None:
         break;
     }
 }

@@ -76,51 +76,30 @@ condInvert(Cond c)
     return Cond::Ne;
 }
 
-/** Which TraceOp fields name guest registers, per handler shape. */
-struct RegUse
+/**
+ * x86 lowering of a guest ALU op: its 0x03-family and 81 /n opcodes
+ * (add/sub/and/or/xor), or its C1 /n shift index; zero where the op
+ * has none (mul and divu lower by hand).
+ */
+struct HostAlu
 {
-    bool a = false, b = false, c = false;
+    uint8_t loadOp = 0;
+    uint8_t immN = 0;
+    uint8_t shiftN = 0;
 };
 
-RegUse
-regUse(TraceH h)
+HostAlu
+hostAlu(Op op)
 {
-    // ALU shapes repeat every 5 starting at AddRR; reduce to a shape
-    // index: 0 RR, 1 RI, 2 RM, 3 MR, 4 MI.
-    if (h >= TraceH::AddRR && h < TraceH::Exec) {
-        switch ((static_cast<int>(h) -
-                 static_cast<int>(TraceH::AddRR)) %
-                5) {
-          case 0: return {true, true, true};   // a <- b op c
-          case 1: return {true, true, false};  // a <- b op imm
-          case 2: return {true, true, true};   // a <- b op [c+d]
-          case 3: return {true, false, true};  // [a+d] op= c
-          case 4: return {true, false, false}; // [a+d] op= imm
-        }
-    }
-    switch (h) {
-      case TraceH::MovRR: return {true, true, false};
-      case TraceH::MovRI: return {true, false, false};
-      case TraceH::MovRM: return {true, true, false};
-      case TraceH::MovMR: return {true, true, false};
-      case TraceH::MovMI: return {true, false, false};
-      case TraceH::MovbRM: return {true, true, false};
-      case TraceH::MovbMR: return {true, true, false};
-      case TraceH::Lea: return {true, true, false};
-      case TraceH::MovHi: return {true, false, false};
-      case TraceH::CmpRR: return {false, true, true};
-      case TraceH::CmpRI: return {false, true, false};
-      case TraceH::CmpRM: return {false, true, true};
-      case TraceH::CmpMR: return {false, true, true};
-      case TraceH::CmpMI: return {false, true, false};
-      case TraceH::TestRR: return {false, true, true};
-      case TraceH::TestRI: return {false, true, false};
-      case TraceH::TestRM: return {false, true, true};
-      case TraceH::TestMR: return {false, true, true};
-      case TraceH::TestMI: return {false, true, false};
-      case TraceH::PushR: return {true, true, false};
-      case TraceH::PushI: return {true, false, false};
-      case TraceH::PopR: return {true, true, false};
+    switch (op) {
+      case Op::Add: return {kAddLoad, kAddN, 0};
+      case Op::Sub: return {kSubLoad, kSubN, 0};
+      case Op::And: return {kAndLoad, kAndN, 0};
+      case Op::Or: return {kOrLoad, kOrN, 0};
+      case Op::Xor: return {kXorLoad, kXorN, 0};
+      case Op::Shl: return {0, 0, kShlN};
+      case Op::Shr: return {0, 0, kShrN};
+      case Op::Sar: return {0, 0, kSarN};
       default: return {};
     }
 }
@@ -445,44 +424,39 @@ bool
 TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
 {
     const TraceH h = op.h;
-    // Memory ops and ALU groups first (contiguous enum ranges).
-    if (h >= TraceH::AddRR && h < TraceH::Exec) {
-        const int aluIdx = (static_cast<int>(h) -
-                            static_cast<int>(TraceH::AddRR));
-        const int shape = aluIdx % 5; // RR RI RM MR MI
-        const int kind = aluIdx / 5;  // Add..Divu (X-macro order)
-        enum
-        {
-            kAdd, kSub, kAnd, kOr, kXor, kShl, kShr, kSar, kMul,
-            kDivu
-        };
-        static constexpr uint8_t loadOps[] = {kAddLoad, kSubLoad,
-                                              kAndLoad, kOrLoad,
-                                              kXorLoad};
-        static constexpr uint8_t immNs[] = {kAddN, kSubN, kAndN,
-                                            kOrN, kXorN};
-        static constexpr uint8_t shiftNs[] = {kShlN, kShrN, kSarN};
-        const bool basic = kind <= kXor;
-        const bool shift = kind >= kShl && kind <= kSar;
+    const TraceOpInfo &info = traceOpInfo(h);
+    // Memory ops open at a retry label with the address in edx and
+    // the op's hint window checked; a miss probes and retries.
+    if (info.width != 0) {
+        int miss = beginMemOp(idx);
+        emitAddr(op.field(info.base), op.value(info.disp));
+        emitHintCheck(idx, miss);
+    }
+    if (opInfo(info.op).alu) {
+        const TraceShape shape = info.shape;
+        const HostAlu alu = hostAlu(info.op);
+        const bool basic = alu.loadOp != 0;
+        const bool shift = alu.shiftN != 0;
+        const bool mul = info.op == Op::Mul;
 
-        if (shape == 0) { // a <- b op c
+        if (shape == TraceShape::RR) { // a <- b op c
             _eflagsLive = false;
             if (basic) {
-                compileAluRR(loadOps[kind], op);
+                compileAluRR(alu.loadOp, op);
             } else if (shift) {
                 uint8_t cnt = readReg(op.c, RCX);
                 if (cnt != RCX)
                     _em.movRR32(RCX, cnt);
                 if (op.a == op.b && isAlloc(op.a)) {
-                    _em.shiftRCl32(shiftNs[kind - kShl], host(op.a));
+                    _em.shiftRCl32(alu.shiftN, host(op.a));
                 } else {
                     uint8_t vb = readReg(op.b, RAX);
                     if (vb != RAX)
                         _em.movRR32(RAX, vb);
-                    _em.shiftRCl32(shiftNs[kind - kShl], RAX);
+                    _em.shiftRCl32(alu.shiftN, RAX);
                     writeReg(op.a, RAX);
                 }
-            } else if (kind == kMul) {
+            } else if (mul) {
                 uint8_t src = readReg(op.c, RCX);
                 uint8_t vb = readReg(op.b, RAX);
                 if (vb != RAX)
@@ -507,23 +481,23 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             }
             return true;
         }
-        if (shape == 1) { // a <- b op imm2
+        if (shape == TraceShape::RI) { // a <- b op imm2
             _eflagsLive = false;
             if (basic) {
-                compileAluRI(immNs[kind], op);
+                compileAluRI(alu.immN, op);
             } else if (shift) {
                 uint8_t cnt = static_cast<uint8_t>(op.imm2 & 31);
                 if (op.a == op.b && isAlloc(op.a)) {
-                    _em.shiftRI32(shiftNs[kind - kShl], host(op.a),
+                    _em.shiftRI32(alu.shiftN, host(op.a),
                                   cnt);
                 } else {
                     uint8_t vb = readReg(op.b, RAX);
                     if (vb != RAX)
                         _em.movRR32(RAX, vb);
-                    _em.shiftRI32(shiftNs[kind - kShl], RAX, cnt);
+                    _em.shiftRI32(alu.shiftN, RAX, cnt);
                     writeReg(op.a, RAX);
                 }
-            } else if (kind == kMul) {
+            } else if (mul) {
                 uint8_t vb = readReg(op.b, RAX);
                 _em.imulRRI32(RAX, vb, op.imm2);
                 writeReg(op.a, RAX);
@@ -543,13 +517,10 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             return true;
         }
 
-        // Memory shapes.
-        int miss = beginMemOp(idx);
-        if (shape == 2) { // a <- b op [R(c)+imm2]
-            emitAddr(op.c, op.imm2);
-            emitHintCheck(idx, miss);
+        // Memory shapes: the prologue above left the address in edx.
+        if (shape == TraceShape::RM) { // a <- b op [R(c)+imm2]
             if (basic && op.a == op.b && isAlloc(op.a)) {
-                _em.aluRM32(loadOps[kind], host(op.a),
+                _em.aluRM32(alu.loadOp, host(op.a),
                             guestMemAtRdx());
                 return true;
             }
@@ -558,10 +529,10 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             if (vb != RAX)
                 _em.movRR32(RAX, vb);
             if (basic) {
-                _em.aluRR32(loadOps[kind], RAX, RCX);
+                _em.aluRR32(alu.loadOp, RAX, RCX);
             } else if (shift) {
-                _em.shiftRCl32(shiftNs[kind - kShl], RAX);
-            } else if (kind == kMul) {
+                _em.shiftRCl32(alu.shiftN, RAX);
+            } else if (mul) {
                 _em.imulRR32(RAX, RCX);
             } else { // Divu
                 int zero = _em.newLabel(), done = _em.newLabel();
@@ -577,23 +548,21 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             writeReg(op.a, RAX);
             return true;
         }
-        // Shapes 3/4: slot <- alu(slot, src) at [R(a)+imm].
-        emitAddr(op.a, op.imm);
-        emitHintCheck(idx, miss);
+        // MR/MI: slot <- alu(slot, src) at [R(a)+imm].
         _em.movRM32(RAX, guestMemAtRdx()); // v
         bool addrClobbered = false;
-        if (shape == 3) { // src = R(c)
+        if (shape == TraceShape::MR) { // src = R(c)
             if (basic) {
                 if (isAlloc(op.c))
-                    _em.aluRR32(loadOps[kind], RAX, host(op.c));
+                    _em.aluRR32(alu.loadOp, RAX, host(op.c));
                 else
-                    _em.aluRM32(loadOps[kind], RAX, home(op.c));
+                    _em.aluRM32(alu.loadOp, RAX, home(op.c));
             } else if (shift) {
                 uint8_t cnt = readReg(op.c, RCX);
                 if (cnt != RCX)
                     _em.movRR32(RCX, cnt);
-                _em.shiftRCl32(shiftNs[kind - kShl], RAX);
-            } else if (kind == kMul) {
+                _em.shiftRCl32(alu.shiftN, RAX);
+            } else if (mul) {
                 uint8_t src = readReg(op.c, RCX);
                 _em.imulRR32(RAX, src);
             } else { // Divu
@@ -611,13 +580,13 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
                 _em.bind(done);
                 addrClobbered = true;
             }
-        } else { // shape 4: src = imm2
+        } else { // MI: src = imm2
             if (basic) {
-                _em.aluRI32(immNs[kind], RAX, op.imm2);
+                _em.aluRI32(alu.immN, RAX, op.imm2);
             } else if (shift) {
-                _em.shiftRI32(shiftNs[kind - kShl], RAX,
+                _em.shiftRI32(alu.shiftN, RAX,
                               static_cast<uint8_t>(op.imm2 & 31));
-            } else if (kind == kMul) {
+            } else if (mul) {
                 _em.imulRRI32(RAX, RAX, op.imm2);
             } else { // Divu
                 if (op.imm2 == 0) {
@@ -654,10 +623,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         writeRegImm(op.a, op.imm);
         return true;
 
-      case TraceH::MovRM: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.b, op.imm);
-        emitHintCheck(idx, miss);
+      case TraceH::MovRM:
         if (isAlloc(op.a)) {
             _em.movRM32(host(op.a), guestMemAtRdx());
         } else {
@@ -665,29 +631,18 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             _em.movMR32(home(op.a), RAX);
         }
         return true;
-      }
 
       case TraceH::MovMR: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.a, op.imm);
-        emitHintCheck(idx, miss);
         uint8_t src = readReg(op.b, RAX);
         _em.movMR32(guestMemAtRdx(), src);
         return true;
       }
 
-      case TraceH::MovMI: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.a, op.imm);
-        emitHintCheck(idx, miss);
+      case TraceH::MovMI:
         _em.movMI32(guestMemAtRdx(), op.imm2);
         return true;
-      }
 
-      case TraceH::MovbRM: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.b, op.imm);
-        emitHintCheck(idx, miss);
+      case TraceH::MovbRM:
         if (isAlloc(op.a)) {
             _em.movzxRM8(host(op.a), guestMemAtRdx());
         } else {
@@ -695,12 +650,8 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
             _em.movMR32(home(op.a), RAX);
         }
         return true;
-      }
 
       case TraceH::MovbMR: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.a, op.imm);
-        emitHintCheck(idx, miss);
         uint8_t src = readReg(op.b, RAX);
         _em.movMR8(guestMemAtRdx(), src);
         return true;
@@ -772,9 +723,6 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
 
       case TraceH::CmpRM:
       case TraceH::TestRM: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.c, op.imm2);
-        emitHintCheck(idx, miss);
         _em.movRM32(RCX, guestMemAtRdx()); // v
         uint8_t vb = readReg(op.b, RAX);
         if (h == TraceH::CmpRM)
@@ -789,9 +737,6 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       case TraceH::CmpMI:
       case TraceH::TestMR:
       case TraceH::TestMI: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.b, op.imm);
-        emitHintCheck(idx, miss);
         _em.movRM32(RAX, guestMemAtRdx()); // v
         if (h == TraceH::CmpMR) {
             if (isAlloc(op.c))
@@ -813,10 +758,7 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
       }
 
       case TraceH::PushR:
-      case TraceH::PushI: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.a, static_cast<uint32_t>(-4)); // sp - kWordSize
-        emitHintCheck(idx, miss);
+      case TraceH::PushI:
         if (h == TraceH::PushR) {
             uint8_t src = readReg(op.b, RAX);
             _em.movMR32(guestMemAtRdx(), src);
@@ -825,18 +767,13 @@ TraceCompiler::compileOp(uint32_t idx, const TraceOp &op)
         }
         writeReg(op.a, RDX); // sp commits only after the store
         return true;
-      }
 
-      case TraceH::PopR: {
-        int miss = beginMemOp(idx);
-        emitAddr(op.a, 0);
-        emitHintCheck(idx, miss);
+      case TraceH::PopR:
         _em.movRM32(RAX, guestMemAtRdx()); // v
         _em.leaRM32(RCX, Mem(RDX, 4));     // sp + kWordSize
         writeReg(op.a, RCX);
         writeReg(op.b, RAX); // b == a: the popped value wins
         return true;
-      }
 
       case TraceH::Exec: {
         emitHelperCall(_lay.execHelper, idx);
@@ -1023,12 +960,12 @@ hostRegisterMap(const SuperTrace &tr)
     // of the most-used guests loses little.
     std::array<uint32_t, 16> uses{};
     for (const TraceOp &op : tr.ops) {
-        RegUse u = regUse(op.h);
-        if (u.a)
+        const uint8_t regs = traceOpInfo(op.h).regs;
+        if (regs & trace_regs::A)
             ++uses[op.a];
-        if (u.b)
+        if (regs & trace_regs::B)
             ++uses[op.b];
-        if (u.c)
+        if (regs & trace_regs::C)
             ++uses[op.c];
     }
     std::array<uint8_t, 16> order{};

@@ -81,18 +81,6 @@ layout()
     return l;
 }
 
-/** ALU handler shape, or -1 for non-ALU handlers. */
-int
-aluShape(TraceH h)
-{
-    if (h >= TraceH::AddRR && h < TraceH::Exec) {
-        return (static_cast<int>(h) -
-                static_cast<int>(TraceH::AddRR)) %
-            5;
-    }
-    return -1;
-}
-
 } // namespace
 
 bool
@@ -125,56 +113,21 @@ TraceJit::memProbe(JitFrame *f, uint32_t op_idx)
 {
     const TraceOp &op = f->trace->ops[op_idx];
     Memory &mem = f->vm->mem();
-    const uint32_t *regs = f->regs;
     Memory::SpanHint &h = f->opHints[op_idx];
-    bool ok;
-    switch (const int shape = aluShape(op.h); op.h) {
-      case TraceH::MovRM:
-        ok = mem.probe32Span(h, regs[op.b] + op.imm, PermR);
-        break;
-      case TraceH::MovMR:
-      case TraceH::MovMI:
-        ok = mem.probe32Span(h, regs[op.a] + op.imm, PermW);
-        break;
-      case TraceH::MovbRM:
-        ok = mem.probe8Span(h, regs[op.b] + op.imm, PermR);
-        break;
-      case TraceH::MovbMR:
-        ok = mem.probe8Span(h, regs[op.a] + op.imm, PermW);
-        break;
-      case TraceH::CmpRM:
-      case TraceH::TestRM:
-        ok = mem.probe32Span(h, regs[op.c] + op.imm2, PermR);
-        break;
-      case TraceH::CmpMR:
-      case TraceH::CmpMI:
-      case TraceH::TestMR:
-      case TraceH::TestMI:
-        ok = mem.probe32Span(h, regs[op.b] + op.imm, PermR);
-        break;
-      case TraceH::PushR:
-      case TraceH::PushI:
-        ok = mem.probe32Span(h, regs[op.a] - kWordSize, PermW);
-        break;
-      case TraceH::PopR:
-        ok = mem.probe32Span(h, regs[op.a], PermR);
-        break;
-      default:
-        if (shape == 2) { // ALU RM: read [R(c)+imm2]
-            ok = mem.probe32Span(h, regs[op.c] + op.imm2, PermR);
-        } else if (shape == 3 || shape == 4) {
-            // ALU MR/MI read-modify-write the slot at [R(a)+imm]:
-            // permission spans are uniform, so one window verified
-            // for both directions admits the whole RMW.
-            const Addr slot = regs[op.a] + op.imm;
-            ok = mem.probe32Span(h, slot, PermR) &&
-                mem.probe32Span(h, slot, PermW);
-        } else {
-            hipstr_panic("jit memProbe: op %u is not a memory op",
-                         static_cast<unsigned>(op.h));
-        }
-        break;
-    }
+    const TraceOpInfo &info = traceOpInfo(op.h);
+    if (info.access == TraceAccess::None)
+        hipstr_panic("jit memProbe: op %u is not a memory op",
+                     static_cast<unsigned>(op.h));
+    const Addr addr = op.memAddr(f->regs);
+    auto probe = [&](Perm p) {
+        return info.width == 1 ? mem.probe8Span(h, addr, p)
+                               : mem.probe32Span(h, addr, p);
+    };
+    // A read-modify-write verifies one window for both directions:
+    // permission spans are uniform, so it admits the whole access.
+    const bool ok =
+        (info.access == TraceAccess::Write || probe(PermR)) &&
+        (info.access == TraceAccess::Read || probe(PermW));
     if (ok)
         return 1;
     f->exitCode = kJitExitFault;

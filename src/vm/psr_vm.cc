@@ -352,8 +352,17 @@ PsrVm::indirectResolve(Addr target, VmRunResult &stop)
         return next;
     if (!_vetted.empty() && consumeVetted(target))
         return fetchBlock(target, stop);
-    // Indirect control transfer missing the code cache: the
-    // PSR virtual machine suspects a security breach.
+    if (securityEvent(target, stop))
+        return nullptr;
+    return fetchBlock(target, stop);
+}
+
+// Indirect control transfer missing the code cache: the PSR virtual
+// machine suspects a security breach. Counts and traces the event,
+// then asks the policy hook whether to migrate.
+bool
+PsrVm::securityEvent(Addr target, VmRunResult &stop)
+{
     ++stats.codeCacheMisses;
     ++stats.securityEvents;
     if (trace && trace->enabled(telemetry::TraceCategory::Vm)) {
@@ -368,10 +377,9 @@ PsrVm::indirectResolve(Addr target, VmRunResult &stop)
         stop.reason = VmStop::MigrationRequested;
         stop.stopPc = target;
         stop.migrationTarget = target;
-        return nullptr;
+        return true;
     }
-    next = fetchBlock(target, stop);
-    return next;
+    return false;
 }
 
 // Handle an indirect transfer to @p target: SFI check, then the
@@ -556,8 +564,7 @@ PsrVm::runLoop(uint64_t max_guest_insts)
             }
 
             switch (ti.klass) {
-              case ExecClass::Plain:
-              case ExecClass::GuestStartPlain: {
+              case ExecClass::Plain: {
                 if constexpr (Traced)
                     traceData(ti.mi);
                 ExecStatus st =
@@ -710,16 +717,8 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                 }
                 if (next == nullptr) {
                     // Code cache miss on an indirect transfer.
-                    ++stats.codeCacheMisses;
-                    ++stats.securityEvents;
-                    if (securityEventHook &&
-                        securityEventHook(ret_target)) {
-                        ++stats.migrationsRequested;
-                        stop.reason = VmStop::MigrationRequested;
-                        stop.stopPc = ret_target;
-                        stop.migrationTarget = ret_target;
+                    if (securityEvent(ret_target, stop))
                         return stop;
-                    }
                     next = fetchBlock(ret_target, stop);
                     if (next == nullptr)
                         return stop;

@@ -314,6 +314,9 @@ class PsrVm
      */
     TranslatedBlock *dispatchTo(Addr target, VmRunResult &stop);
     TranslatedBlock *indirectResolve(Addr target, VmRunResult &stop);
+    /** Section 3.5 code-cache miss on an indirect transfer; true
+        when the policy asked to migrate (@p stop filled). */
+    bool securityEvent(Addr target, VmRunResult &stop);
     TranslatedBlock *indirectDispatch(Addr target, VmRunResult &stop);
     bool emitCallLinkage(Addr source_ra, VmRunResult &stop);
     /** @} */

@@ -31,95 +31,49 @@ sameMem(const Operand &x, const Operand &y)
         x.disp == y.disp;
 }
 
-/** First handler (the RR shape) of the specialized ALU family. */
-int
-aluBaseHandler(Op op)
+/** The handler of each (op, shape) row, Exec where there is none. */
+struct HandlerIndex
 {
-    switch (op) {
-#define HIPSTR_TRACE_ALU_BASE(o)                                      \
-      case Op::o:                                                     \
-        return static_cast<int>(TraceH::o##RR);
-        HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_BASE)
-#undef HIPSTR_TRACE_ALU_BASE
-      default:
-        return -1;
+    TraceH of[kNumOps][static_cast<size_t>(TraceShape::None)];
+};
+
+constexpr HandlerIndex
+buildHandlerIndex()
+{
+    HandlerIndex x{};
+    for (auto &row : x.of)
+        for (TraceH &h : row)
+            h = TraceH::Exec;
+    for (size_t i = 0; i < static_cast<size_t>(TraceH::NumHandlers);
+         ++i) {
+        const TraceOpInfo &info = kTraceOpInfo[i];
+        if (info.shape != TraceShape::None)
+            x.of[static_cast<size_t>(info.op)]
+                [static_cast<size_t>(info.shape)] = static_cast<TraceH>(i);
     }
+    return x;
 }
 
-/**
- * Operand-shape offset for the two-source flag setters (Cmp/Test):
- * 0 RR, 1 RI, 2 RM, 3 MR, 4 MI; -1 falls back to the generic handler.
- */
-int
-flagShape(const Operand &s1, const Operand &s2, TraceOp &t)
-{
-    if (s1.isReg() && s2.isReg()) {
-        t.b = static_cast<uint8_t>(s1.reg);
-        t.c = static_cast<uint8_t>(s2.reg);
-        return 0;
-    }
-    if (s1.isReg() && s2.isImm()) {
-        t.b = static_cast<uint8_t>(s1.reg);
-        t.imm2 = static_cast<uint32_t>(s2.disp);
-        return 1;
-    }
-    if (s1.isReg() && s2.isMem()) {
-        t.b = static_cast<uint8_t>(s1.reg);
-        t.c = static_cast<uint8_t>(s2.base);
-        t.imm2 = static_cast<uint32_t>(s2.disp);
-        return 2;
-    }
-    if (s1.isMem() && s2.isReg()) {
-        t.b = static_cast<uint8_t>(s1.base);
-        t.imm = static_cast<uint32_t>(s1.disp);
-        t.c = static_cast<uint8_t>(s2.reg);
-        return 3;
-    }
-    if (s1.isMem() && s2.isImm()) {
-        t.b = static_cast<uint8_t>(s1.base);
-        t.imm = static_cast<uint32_t>(s1.disp);
-        t.imm2 = static_cast<uint32_t>(s2.disp);
-        return 4;
-    }
-    return -1;
-}
+constexpr HandlerIndex kHandlerIndex = buildHandlerIndex();
 
-/** ALU shape: dst/src1 in a, b or a+imm (slot form); src2 in c/imm2. */
-int
-aluShape(const MachInst &mi, TraceOp &t)
+/** Shape of the operand pair (destination-or-first, source). */
+TraceShape
+shapeOf(const Operand &first, const Operand &second)
 {
-    if (mi.dst.isReg() && mi.src1.isReg()) {
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.b = static_cast<uint8_t>(mi.src1.reg);
-        if (mi.src2.isReg()) {
-            t.c = static_cast<uint8_t>(mi.src2.reg);
-            return 0;
-        }
-        if (mi.src2.isImm()) {
-            t.imm2 = static_cast<uint32_t>(mi.src2.disp);
-            return 1;
-        }
-        if (mi.src2.isMem()) {
-            t.c = static_cast<uint8_t>(mi.src2.base);
-            t.imm2 = static_cast<uint32_t>(mi.src2.disp);
-            return 2;
-        }
-        return -1;
+    if (first.isReg()) {
+        if (second.isReg())
+            return TraceShape::RR;
+        if (second.isImm())
+            return TraceShape::RI;
+        if (second.isMem())
+            return TraceShape::RM;
+    } else if (first.isMem()) {
+        if (second.isReg())
+            return TraceShape::MR;
+        if (second.isImm())
+            return TraceShape::MI;
     }
-    if (mi.dst.isMem() && sameMem(mi.dst, mi.src1)) {
-        // Cisc two-address form on a relocated register slot.
-        t.a = static_cast<uint8_t>(mi.dst.base);
-        t.imm = static_cast<uint32_t>(mi.dst.disp);
-        if (mi.src2.isReg()) {
-            t.c = static_cast<uint8_t>(mi.src2.reg);
-            return 3;
-        }
-        if (mi.src2.isImm()) {
-            t.imm2 = static_cast<uint32_t>(mi.src2.disp);
-            return 4;
-        }
-    }
-    return -1;
+    return TraceShape::None;
 }
 
 /**
@@ -135,120 +89,12 @@ void
 encodeInst(const TInst &ti, uint32_t inst_idx, uint16_t seg,
            uint8_t sp_reg, std::vector<TraceOp> &out)
 {
-    const MachInst &mi = ti.mi;
-    if (mi.op == Op::Nop)
+    if (ti.mi.op == Op::Nop)
         return;
-
-    TraceOp t;
-    t.h = TraceH::Exec;
+    TraceOp t = traceOpFor(ti.mi, sp_reg);
     t.seg = seg;
     t.instIdx = inst_idx;
     t.ti = &ti;
-
-    switch (mi.op) {
-      case Op::Mov:
-        if (mi.dst.isReg() && mi.src1.isReg()) {
-            t.h = TraceH::MovRR;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-        } else if (mi.dst.isReg() && mi.src1.isImm()) {
-            t.h = TraceH::MovRI;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-        } else if (mi.dst.isReg() && mi.src1.isMem()) {
-            t.h = TraceH::MovRM;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.b = static_cast<uint8_t>(mi.src1.base);
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-        } else if (mi.dst.isMem() && mi.src1.isReg()) {
-            t.h = TraceH::MovMR;
-            t.a = static_cast<uint8_t>(mi.dst.base);
-            t.imm = static_cast<uint32_t>(mi.dst.disp);
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-        } else if (mi.dst.isMem() && mi.src1.isImm()) {
-            t.h = TraceH::MovMI;
-            t.a = static_cast<uint8_t>(mi.dst.base);
-            t.imm = static_cast<uint32_t>(mi.dst.disp);
-            t.imm2 = static_cast<uint32_t>(mi.src1.disp);
-        }
-        break;
-
-      case Op::Movb:
-        // Byte loads zero-extend, byte stores write the low byte. The
-        // Cisc mem8 <- imm8 form is never emitted by the compiler or
-        // the translator and stays on the generic handler.
-        if (mi.dst.isReg() && mi.src1.isMem()) {
-            t.h = TraceH::MovbRM;
-            t.a = static_cast<uint8_t>(mi.dst.reg);
-            t.b = static_cast<uint8_t>(mi.src1.base);
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-        } else if (mi.dst.isMem() && mi.src1.isReg()) {
-            t.h = TraceH::MovbMR;
-            t.a = static_cast<uint8_t>(mi.dst.base);
-            t.imm = static_cast<uint32_t>(mi.dst.disp);
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-        }
-        break;
-
-      case Op::Lea:
-        t.h = TraceH::Lea;
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.b = static_cast<uint8_t>(mi.src1.base);
-        t.imm = static_cast<uint32_t>(mi.src1.disp);
-        break;
-
-      case Op::MovHi:
-        t.h = TraceH::MovHi;
-        t.a = static_cast<uint8_t>(mi.dst.reg);
-        t.imm = static_cast<uint32_t>(mi.src1.disp);
-        break;
-
-      case Op::Cmp: {
-        int off = flagShape(mi.src1, mi.src2, t);
-        if (off >= 0)
-            t.h = static_cast<TraceH>(
-                static_cast<int>(TraceH::CmpRR) + off);
-        break;
-      }
-
-      case Op::Test: {
-        int off = flagShape(mi.src1, mi.src2, t);
-        if (off >= 0)
-            t.h = static_cast<TraceH>(
-                static_cast<int>(TraceH::TestRR) + off);
-        break;
-      }
-
-      case Op::Push:
-        if (mi.src1.isReg()) {
-            t.h = TraceH::PushR;
-            t.a = sp_reg;
-            t.b = static_cast<uint8_t>(mi.src1.reg);
-        } else if (mi.src1.isImm()) {
-            t.h = TraceH::PushI;
-            t.a = sp_reg;
-            t.imm = static_cast<uint32_t>(mi.src1.disp);
-        }
-        break;
-
-      case Op::Pop:
-        if (mi.dst.isReg()) {
-            t.h = TraceH::PopR;
-            t.a = sp_reg;
-            t.b = static_cast<uint8_t>(mi.dst.reg);
-        }
-        break;
-
-      default: {
-        int alu_base = aluBaseHandler(mi.op);
-        if (alu_base >= 0) {
-            int off = aluShape(mi, t);
-            if (off >= 0)
-                t.h = static_cast<TraceH>(alu_base + off);
-        }
-        break;
-      }
-    }
     out.push_back(t);
 }
 
@@ -284,7 +130,6 @@ cleanPrefix(const TranslatedBlock *b, int bound)
     for (int i = 0; i < bound; ++i) {
         switch (b->insts[i].klass) {
           case ExecClass::Plain:
-          case ExecClass::GuestStartPlain:
           case ExecClass::Jcc:
             continue;
           case ExecClass::Ret:
@@ -350,6 +195,80 @@ struct PlannedSeg
 };
 
 } // namespace
+
+TraceOp
+traceOpFor(const MachInst &mi, uint8_t sp_reg)
+{
+    TraceOp t;
+    t.h = TraceH::Exec;
+
+    // The operands in field order: the destination-or-first operand,
+    // then the sources. ALU ops are three-address on registers or
+    // two-address on a memory slot (Cisc relocated registers); push
+    // and pop address the stack slot at sp.
+    const Operand stack = Operand::makeMem(sp_reg, 0);
+    const Operand *ops[3] = { &mi.dst, &mi.src1, nullptr };
+    if (opInfo(mi.op).alu) {
+        if (mi.dst.isReg() && mi.src1.isReg())
+            ops[2] = &mi.src2;
+        else if (sameMem(mi.dst, mi.src1))
+            ops[1] = &mi.src2;
+        else
+            return t;
+    } else if (mi.op == Op::Cmp || mi.op == Op::Test) {
+        ops[0] = &mi.src1;
+        ops[1] = &mi.src2;
+    } else if (mi.op == Op::Push) {
+        ops[0] = &stack;
+    } else if (mi.op == Op::Pop) {
+        ops[0] = &stack;
+        ops[1] = &mi.dst;
+    }
+
+    const TraceShape shape =
+        shapeOf(*ops[0], ops[2] != nullptr ? *ops[2] : *ops[1]);
+    if (shape == TraceShape::None)
+        return t;
+    t.h = kHandlerIndex.of[static_cast<size_t>(mi.op)]
+                          [static_cast<size_t>(shape)];
+    if (t.h == TraceH::Exec)
+        return t;
+
+    // Register operands take the row's register fields in a, b, c
+    // order (skipping the address base); a memory operand fills the
+    // base and displacement; an immediate goes where the row says.
+    const TraceOpInfo &info = traceOpInfo(t.h);
+    uint8_t free = info.regs & ~trace_regs::bit(info.base);
+    auto set_field = [&t](TraceField f, Reg r) {
+        uint8_t &slot = f == TraceField::A ? t.a
+            : f == TraceField::B           ? t.b
+                                           : t.c;
+        slot = static_cast<uint8_t>(r);
+    };
+    auto set_value = [&t](TraceImm where, int32_t v) {
+        if (where == TraceImm::Imm)
+            t.imm = static_cast<uint32_t>(v);
+        else if (where == TraceImm::Imm2)
+            t.imm2 = static_cast<uint32_t>(v);
+    };
+    for (const Operand *o : ops) {
+        if (o == nullptr)
+            break;
+        if (o->isReg()) {
+            const TraceField f = (free & trace_regs::A) ? TraceField::A
+                : (free & trace_regs::B)                ? TraceField::B
+                                                        : TraceField::C;
+            free &= static_cast<uint8_t>(~trace_regs::bit(f));
+            set_field(f, o->reg);
+        } else if (o->isMem()) {
+            set_field(info.base, o->base);
+            set_value(info.disp, o->disp);
+        } else {
+            set_value(info.imm, o->disp);
+        }
+    }
+    return t;
+}
 
 SuperTrace *
 TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
@@ -499,43 +418,10 @@ PsrVm::runTrace(SuperTrace *tr, uint64_t guest_budget,
                 VmRunResult &stop)
 {
     static const void *const tbl[] = {
-        &&h_MovRR,
-        &&h_MovRI,
-        &&h_MovRM,
-        &&h_MovMR,
-        &&h_MovMI,
-        &&h_MovbRM,
-        &&h_MovbMR,
-        &&h_Lea,
-        &&h_MovHi,
-        &&h_CmpRR,
-        &&h_CmpRI,
-        &&h_CmpRM,
-        &&h_CmpMR,
-        &&h_CmpMI,
-        &&h_TestRR,
-        &&h_TestRI,
-        &&h_TestRM,
-        &&h_TestMR,
-        &&h_TestMI,
-        &&h_PushR,
-        &&h_PushI,
-        &&h_PopR,
-#define HIPSTR_TRACE_ALU_LABELS(op)                                   \
-    &&h_##op##RR, &&h_##op##RI, &&h_##op##RM, &&h_##op##MR,           \
-        &&h_##op##MI,
-        HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_LABELS)
-#undef HIPSTR_TRACE_ALU_LABELS
-        &&h_Exec,
-        &&h_JccGuard,
-        &&h_SegBranch,
-        &&h_SegBranchCc,
-        &&h_SegCall,
-        &&h_TraceEnd,
+#define HIPSTR_TRACE_LABEL(h, ...) &&h_##h,
+        HIPSTR_TRACE_HANDLERS(HIPSTR_TRACE_LABEL)
+#undef HIPSTR_TRACE_LABEL
     };
-    static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
-                      static_cast<size_t>(TraceH::NumHandlers),
-                  "trace handler table out of sync with TraceH");
 
     using interp_detail::aluCompute;
     using interp_detail::setCmpFlags;
@@ -680,7 +566,7 @@ h_PopR: {
     NEXTOP;
 }
 
-#define HIPSTR_TRACE_ALU_HANDLERS(OP)                                 \
+#define HIPSTR_TRACE_ALU_HANDLERS(ctx, OP, name)                      \
     h_##OP##RR:                                                       \
         R(op->a) = aluCompute(Op::OP, R(op->b), R(op->c));            \
         NEXTOP;                                                       \
@@ -715,16 +601,7 @@ h_PopR: {
         NEXTOP;                                                       \
     }
 
-    HIPSTR_TRACE_ALU_HANDLERS(Add)
-    HIPSTR_TRACE_ALU_HANDLERS(Sub)
-    HIPSTR_TRACE_ALU_HANDLERS(And)
-    HIPSTR_TRACE_ALU_HANDLERS(Or)
-    HIPSTR_TRACE_ALU_HANDLERS(Xor)
-    HIPSTR_TRACE_ALU_HANDLERS(Shl)
-    HIPSTR_TRACE_ALU_HANDLERS(Shr)
-    HIPSTR_TRACE_ALU_HANDLERS(Sar)
-    HIPSTR_TRACE_ALU_HANDLERS(Mul)
-    HIPSTR_TRACE_ALU_HANDLERS(Divu)
+    HIPSTR_ALU_OPS(HIPSTR_TRACE_ALU_HANDLERS, _)
 #undef HIPSTR_TRACE_ALU_HANDLERS
 
 h_Exec: {

@@ -41,55 +41,181 @@ namespace hipstr
 
 class CodeCache;
 
-/** The ALU ops the trace executor specializes per operand shape. */
-#define HIPSTR_TRACE_ALU_OPS(X)                                       \
-    X(Add) X(Sub) X(And) X(Or) X(Xor) X(Shl) X(Shr) X(Sar) X(Mul)     \
-    X(Divu)
-
 /**
- * Trace handler index. Every value names one computed-goto label in
- * PsrVm::runTrace; the label table there is built from the same
- * X-macros, so the orders match by construction. Operand shapes:
- * RR/RI register-register/immediate, RM register with memory source,
- * MR/MI memory destination (Cisc two-address slot forms).
+ * The one trace-handler list. Each row X(handler, op, shape, regs,
+ * base, disp, imm, access, width) describes one computed-goto label
+ * of PsrVm::runTrace:
+ *
+ *  - op/shape: the guest op and operand shape it specializes (Nop/None
+ *    for the control handlers). Shapes name the destination-or-first
+ *    operand, then the source: RR/RI register-register/immediate, RM
+ *    register with memory source, MR/MI memory destination (Cisc
+ *    two-address slot forms, and the stack slot of push/pop).
+ *  - regs: the TraceOp fields (a, b, c) that name guest registers.
+ *  - base/disp: the field holding the address base register, and where
+ *    the displacement comes from; imm: where an immediate operand goes.
+ *  - access/width: the memory access made at that address.
+ *
+ * TraceH, the runTrace label table and kTraceOpInfo all expand from
+ * this list, so their orders match by construction.
  */
+#define HIPSTR_TRACE_HANDLERS(X)                                      \
+    X(MovRR, Mov, RR, AB, None, None, None, None, 0)                  \
+    X(MovRI, Mov, RI, A, None, None, Imm, None, 0)                    \
+    X(MovRM, Mov, RM, AB, B, Imm, None, Read, 4)                      \
+    X(MovMR, Mov, MR, AB, A, Imm, None, Write, 4)                     \
+    X(MovMI, Mov, MI, A, A, Imm, Imm2, Write, 4)                      \
+    /* a <- zext mem8[R(b)+imm] */                                    \
+    X(MovbRM, Movb, RM, AB, B, Imm, None, Read, 1)                    \
+    /* mem8[R(a)+imm] <- low8 R(b) */                                 \
+    X(MovbMR, Movb, MR, AB, A, Imm, None, Write, 1)                   \
+    X(Lea, Lea, RM, AB, B, Imm, None, None, 0)                        \
+    X(MovHi, MovHi, RI, A, None, None, Imm, None, 0)                  \
+    HIPSTR_TRACE_FLAG_ROWS(X, Cmp)                                    \
+    HIPSTR_TRACE_FLAG_ROWS(X, Test)                                   \
+    X(PushR, Push, MR, AB, A, MinusWord, None, Write, 4)              \
+    X(PushI, Push, MI, A, A, MinusWord, Imm, Write, 4)                \
+    X(PopR, Pop, MR, AB, A, Zero, None, Read, 4)                      \
+    HIPSTR_ALU_OPS(HIPSTR_TRACE_ALU_ROWS, X)                          \
+    /* cold generic fallback: executeInstInline on ti->mi (counted as \
+       an execFallback) */                                            \
+    X(Exec, Nop, None, None, None, None, None, None, 0)               \
+    /* off-trace conditional: taken => side exit */                   \
+    X(JccGuard, Nop, None, None, None, None, None, None, 0)           \
+    /* on-trace direct branch edge (block stub exit) */               \
+    X(SegBranch, Nop, None, None, None, None, None, None, 0)          \
+    /* on-trace conditional edge (dominant taken) */                  \
+    X(SegBranchCc, Nop, None, None, None, None, None, None, 0)        \
+    /* on-trace direct call edge (emits call linkage) */              \
+    X(SegCall, Nop, None, None, None, None, None, None, 0)            \
+    /* resume the owner block at the boundary inst */                 \
+    X(TraceEnd, Nop, None, None, None, None, None, None, 0)
+
+/** Cmp/Test: flags from R(b) or [R(b)+imm], against R(c), imm2 or
+    [R(c)+imm2]. */
+#define HIPSTR_TRACE_FLAG_ROWS(X, op)                                 \
+    X(op##RR, op, RR, BC, None, None, None, None, 0)                  \
+    X(op##RI, op, RI, B, None, None, Imm2, None, 0)                   \
+    X(op##RM, op, RM, BC, C, Imm2, None, Read, 4)                     \
+    X(op##MR, op, MR, BC, B, Imm, None, Read, 4)                      \
+    X(op##MI, op, MI, B, B, Imm, Imm2, Read, 4)
+
+/** ALU: a <- R(b) op (R(c) | imm2 | [R(c)+imm2]), or the slot
+    [R(a)+imm] op= (R(c) | imm2). */
+#define HIPSTR_TRACE_ALU_ROWS(X, op, name)                            \
+    X(op##RR, op, RR, ABC, None, None, None, None, 0)                 \
+    X(op##RI, op, RI, AB, None, None, Imm2, None, 0)                  \
+    X(op##RM, op, RM, ABC, C, Imm2, None, Read, 4)                    \
+    X(op##MR, op, MR, AC, A, Imm, None, ReadWrite, 4)                 \
+    X(op##MI, op, MI, A, A, Imm, Imm2, ReadWrite, 4)
+
+/** Trace handler index: one per HIPSTR_TRACE_HANDLERS row. */
 enum class TraceH : uint16_t
 {
-    MovRR,
-    MovRI,
-    MovRM,
-    MovMR,
-    MovMI,
-    MovbRM,      ///< a <- zext mem8[R(b)+imm]
-    MovbMR,      ///< mem8[R(a)+imm] <- low8 R(b)
-    Lea,
-    MovHi,
-    CmpRR,
-    CmpRI,
-    CmpRM,
-    CmpMR,
-    CmpMI,
-    TestRR,
-    TestRI,
-    TestRM,
-    TestMR,
-    TestMI,
-    PushR,
-    PushI,
-    PopR,
-#define HIPSTR_TRACE_ALU_ENUM(op)                                     \
-    op##RR, op##RI, op##RM, op##MR, op##MI,
-    HIPSTR_TRACE_ALU_OPS(HIPSTR_TRACE_ALU_ENUM)
-#undef HIPSTR_TRACE_ALU_ENUM
-    Exec,        ///< cold generic fallback: executeInstInline on
-                 ///< ti->mi (counted as an execFallback)
-    JccGuard,    ///< off-trace conditional: taken => side exit
-    SegBranch,   ///< on-trace direct branch edge (block stub exit)
-    SegBranchCc, ///< on-trace conditional edge (dominant taken)
-    SegCall,     ///< on-trace direct call edge (emits call linkage)
-    TraceEnd,    ///< resume the owner block at the boundary inst
+#define HIPSTR_TRACE_ENUM(h, ...) h,
+    HIPSTR_TRACE_HANDLERS(HIPSTR_TRACE_ENUM)
+#undef HIPSTR_TRACE_ENUM
     NumHandlers
 };
+
+/** Operand shape a handler specializes (see HIPSTR_TRACE_HANDLERS). */
+enum class TraceShape : uint8_t
+{
+    RR,
+    RI,
+    RM,
+    MR,
+    MI,
+    None
+};
+
+/** A TraceOp field that can name a guest register. */
+enum class TraceField : uint8_t
+{
+    None,
+    A,
+    B,
+    C
+};
+
+/** Where a handler's displacement or immediate lives. */
+enum class TraceImm : uint8_t
+{
+    None,
+    Imm,      ///< TraceOp::imm
+    Imm2,     ///< TraceOp::imm2
+    Zero,     ///< constant 0 (the current top of stack)
+    MinusWord ///< constant -4 (the new top of stack)
+};
+
+/** Direction of a handler's memory access. */
+enum class TraceAccess : uint8_t
+{
+    None,
+    Read,
+    Write,
+    ReadWrite
+};
+
+/** Bit per TraceOp register field in TraceOpInfo::regs. */
+namespace trace_regs
+{
+enum : uint8_t
+{
+    None = 0,
+    A = 1,
+    B = 2,
+    AB = A | B,
+    C = 4,
+    AC = A | C,
+    BC = B | C,
+    ABC = A | B | C
+};
+constexpr uint8_t
+bit(TraceField f)
+{
+    return f == TraceField::None
+        ? 0
+        : static_cast<uint8_t>(1u << (static_cast<unsigned>(f) - 1));
+}
+} // namespace trace_regs
+
+/** One row of the trace-handler list. */
+struct TraceOpInfo
+{
+    const char *name;
+    Op op;
+    TraceShape shape;
+    uint8_t regs; ///< trace_regs bits
+    TraceField base;
+    TraceImm disp;
+    TraceImm imm;
+    TraceAccess access;
+    uint8_t width; ///< bytes accessed, 0 for no memory access
+};
+
+inline constexpr TraceOpInfo
+    kTraceOpInfo[static_cast<size_t>(TraceH::NumHandlers)] = {
+#define HIPSTR_TRACE_INFO(h, op, shape, regs, base, disp, imm, access,  \
+                          width)                                      \
+    { #h,                                                             \
+      Op::op,                                                         \
+      TraceShape::shape,                                              \
+      trace_regs::regs,                                               \
+      TraceField::base,                                               \
+      TraceImm::disp,                                                 \
+      TraceImm::imm,                                                  \
+      TraceAccess::access,                                            \
+      width },
+        HIPSTR_TRACE_HANDLERS(HIPSTR_TRACE_INFO)
+#undef HIPSTR_TRACE_INFO
+};
+
+constexpr const TraceOpInfo &
+traceOpInfo(TraceH h)
+{
+    return kTraceOpInfo[static_cast<size_t>(h)];
+}
 
 /**
  * One pre-decoded trace operation. Specialized handlers read only the
@@ -120,7 +246,44 @@ struct TraceOp
     uint32_t writesD = 0;
     /** @} */
     const TInst *ti = nullptr; ///< source instruction (fallback/fault)
+
+    /** The register @p f holds. */
+    uint8_t
+    field(TraceField f) const
+    {
+        return f == TraceField::A ? a : f == TraceField::B ? b : c;
+    }
+
+    /** The value @p where names. */
+    uint32_t
+    value(TraceImm where) const
+    {
+        switch (where) {
+          case TraceImm::Imm: return imm;
+          case TraceImm::Imm2: return imm2;
+          case TraceImm::MinusWord: return static_cast<uint32_t>(-4);
+          case TraceImm::None:
+          case TraceImm::Zero: return 0;
+        }
+        return 0;
+    }
+
+    /** The guest address this op's memory access starts at. */
+    Addr
+    memAddr(const uint32_t *regs) const
+    {
+        const TraceOpInfo &info = traceOpInfo(h);
+        return regs[field(info.base)] + value(info.disp);
+    }
 };
+
+/**
+ * The specialized TraceOp for straight-line instruction @p mi (h and
+ * the operand fields set), or one on the generic Exec handler when no
+ * row of HIPSTR_TRACE_HANDLERS matches its op and operand shape.
+ * @p sp_reg is the ISA's stack-pointer register index.
+ */
+TraceOp traceOpFor(const MachInst &mi, uint8_t sp_reg);
 
 /** One spliced block of a trace. */
 struct TraceSegment

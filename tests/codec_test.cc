@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <string>
+
 #include "isa/codec.hh"
 #include "isa/instruction.hh"
+#include "support/hash.hh"
 #include "support/random.hh"
 
 namespace hipstr
@@ -39,6 +44,91 @@ expectSameInst(const MachInst &a, const MachInst &b, IsaKind isa)
     EXPECT_TRUE(a.src2 == b.src2) << instToString(b, isa);
     EXPECT_EQ(a.cond, b.cond);
     EXPECT_EQ(a.target, b.target);
+}
+
+/** Fold every field of @p o into @p h. */
+void
+foldOperand(uint64_t &h, const Operand &o)
+{
+    fold64(h, static_cast<uint64_t>(o.kind));
+    fold64(h, o.reg);
+    fold64(h, o.base);
+    fold64(h, static_cast<uint32_t>(o.disp));
+}
+
+/**
+ * Fold one decode at @p pc into @p h: whether it decoded, every
+ * MachInst field, the disassembly, and the re-encoded bytes (or a
+ * marker when the decoded form is not encodable).
+ */
+void
+foldDecode(uint64_t &h, IsaKind isa, const uint8_t *bytes, size_t len,
+           Addr pc)
+{
+    MachInst mi;
+    const bool ok = decodeBytes(isa, bytes, len, pc, mi);
+    fold64(h, ok);
+    if (!ok)
+        return;
+    fold64(h, static_cast<uint64_t>(mi.op));
+    fold64(h, static_cast<uint64_t>(mi.cond));
+    foldOperand(h, mi.dst);
+    foldOperand(h, mi.src1);
+    foldOperand(h, mi.src2);
+    fold64(h, mi.target);
+    fold64(h, mi.size);
+    const std::string text = instToString(mi, isa);
+    foldBytes(h, reinterpret_cast<const uint8_t *>(text.data()),
+              text.size());
+    if (!isEncodable(isa, mi)) {
+        fold64(h, 0xe);
+        return;
+    }
+    std::vector<uint8_t> out;
+    encodeInst(isa, mi, pc, out);
+    fold64(h, out.size());
+    foldBytes(h, out.data(), out.size());
+}
+
+/**
+ * Both decoders, their disassembly and both encoders, pinned over a
+ * fixed sweep: every Risc opcode byte under fixed register/immediate
+ * patterns, and every 2-byte Cisc prefix under fixed tails. Any
+ * change to what a byte pattern means, prints as or re-encodes to
+ * moves the hash.
+ */
+TEST(Codec, DecodeEncodePinned)
+{
+    uint64_t h = kFnvBasis;
+    const uint32_t risc_fields[] = { 0x000000, 0xffffff, 0x123456,
+                                     0x800000, 0x7fff0f, 0x00a5c3,
+                                     0x0f0f0f, 0xf0f0f0 };
+    for (uint32_t opcode = 0; opcode < 256; ++opcode) {
+        for (uint32_t f : risc_fields) {
+            const uint32_t w = opcode | (f << 8);
+            const uint8_t b[4] = {
+                static_cast<uint8_t>(w), static_cast<uint8_t>(w >> 8),
+                static_cast<uint8_t>(w >> 16),
+                static_cast<uint8_t>(w >> 24) };
+            foldDecode(h, IsaKind::Risc, b, 4, 0x10000);
+        }
+    }
+    const uint8_t cisc_tails[][10] = {
+        { 0, 0, 0, 0, 0, 0, 0, 0, 0, 0 },
+        { 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff },
+        { 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x11, 0x22 },
+        { 0x45, 0x80, 0x00, 0x00, 0x80, 0x7f, 0x01, 0xc3, 0x90, 0x05 },
+    };
+    for (uint32_t prefix = 0; prefix < 0x10000; ++prefix) {
+        for (const auto &tail : cisc_tails) {
+            uint8_t b[12];
+            b[0] = static_cast<uint8_t>(prefix);
+            b[1] = static_cast<uint8_t>(prefix >> 8);
+            std::copy(std::begin(tail), std::end(tail), b + 2);
+            foldDecode(h, IsaKind::Cisc, b, sizeof(b), 0x10003);
+        }
+    }
+    EXPECT_EQ(h, 0x6b6489455a24279aull);
 }
 
 TEST(CiscCodec, SingleByteRet)

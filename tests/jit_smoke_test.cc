@@ -26,6 +26,7 @@
 #include "compiler/compile.hh"
 #include "isa/exec_inline.hh"
 #include "isa/guest_os.hh"
+#include "support/hash.hh"
 #include "vm/jit/arena.hh"
 #include "vm/jit/compiler.hh"
 #include "vm/jit/emitter.hh"
@@ -209,6 +210,72 @@ TEST(JitSmoke, NoExecFallbacksOnAnyWorkload)
     }
 }
 
+/**
+ * The emitted bytes of every trace the nine workloads form on both
+ * ISAs, pinned. Traces form with the JIT off and compile against a
+ * fixed layout with fake helper addresses, so nothing here executes
+ * generated code and the test runs on any host and in sanitizer
+ * builds.
+ */
+TEST(JitSmoke, EmittedCodePinned)
+{
+    jit::CompileLayout lay;
+    lay.frameStats = 0x00;
+    lay.frameMemBase = 0x08;
+    lay.frameRegs = 0x10;
+    lay.frameBudget = 0x18;
+    lay.frameExitCode = 0x20;
+    lay.frameExitOp = 0x24;
+    lay.frameOpHints = 0x28;
+    lay.flagsOffFromRegs = 0x44;
+    lay.statsGuestInsts = 0x00;
+    lay.statsHostInsts = 0x08;
+    lay.statsMemReads = 0x30;
+    lay.statsMemWrites = 0x38;
+    lay.statsTraceFollows = 0x70;
+    lay.memProbeHelper = reinterpret_cast<const void *>(0x1111111111ull);
+    lay.execHelper = reinterpret_cast<const void *>(0x2222222222ull);
+    lay.segCallHelper = reinterpret_cast<const void *>(0x3333333333ull);
+
+    uint64_t h = kFnvBasis;
+    size_t traces = 0;
+    for (const std::string &name : allWorkloadNames()) {
+        WorkloadConfig wcfg;
+        wcfg.scale = 1;
+        FatBinary bin = compileModule(buildWorkload(name, wcfg));
+        for (IsaKind isa : kAllIsas) {
+            Memory mem;
+            loadFatBinary(bin, mem);
+            GuestOs os;
+            PsrConfig cfg;
+            cfg.seed = 5;
+            cfg.traceMode = PsrConfig::TraceMode::On;
+            cfg.jitMode = PsrConfig::JitMode::Off;
+            PsrVm vm(bin, isa, mem, os, cfg);
+            vm.reset();
+            (void)vm.run(1'000'000);
+            const std::string label = name + "/" + isaName(isa);
+            size_t here = 0;
+            for (const auto &blk : vm.codeCache().blocks()) {
+                if (blk->strace == nullptr)
+                    continue;
+                jit::Emitter em;
+                const bool ok = jit::compileTrace(*blk->strace, lay, em);
+                EXPECT_TRUE(ok) << label;
+                fold64(h, ok);
+                fold64(h, em.size());
+                foldBytes(h, em.code.data(), em.size());
+                ++here;
+            }
+            // Every formed trace is still live, so all were hashed.
+            EXPECT_EQ(here, vm.traceStats().formed) << label;
+            traces += here;
+        }
+    }
+    EXPECT_GT(traces, 50u);
+    EXPECT_EQ(h, 0xfb567f7a61da390bull) << traces << " traces";
+}
+
 TEST(JitSmoke, MovMR8EncodingPinned)
 {
     // mov byte [r14+rdx], r8 for every register a guest value can be
@@ -291,7 +358,7 @@ struct ByteTrace
             TInst ti;
             ti.mi = mi;
             ti.guestStart = true;
-            ti.klass = ExecClass::GuestStartPlain;
+            ti.klass = ExecClass::Plain;
             ti.memReads = mi.op == Op::Movb && mi.src1.isMem();
             ti.memWrites = mi.op == Op::Movb && mi.dst.isMem();
             reads += ti.memReads;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "attack/classifier.hh"
 #include "attack/galileo.hh"
@@ -154,6 +155,39 @@ TEST(Security, AttackRaisesSecurityEventUnderPsr)
     (void)vm.run(10'000);
     // The gadget dispatch misses the code cache: suspected breach.
     EXPECT_GT(vm.stats.securityEvents, events_before);
+}
+
+/**
+ * Every code-cache miss on an indirect transfer records one
+ * vm.security_event instant, returns included: the exploit's gadget
+ * returns into attacker-chosen words, which miss the RAT and the
+ * code cache.
+ */
+TEST(Security, EverySecurityEventIsTraced)
+{
+    FatBinary bin = compileModule(buildWorkload("httpd"));
+    Memory mem;
+    loadFatBinary(bin, mem);
+    auto exploit = buildExploit(bin, mem);
+    ASSERT_TRUE(exploit);
+
+    telemetry::TraceBuffer trace(1 << 16);
+    trace.setMask(telemetry::categoryBit(telemetry::TraceCategory::Vm));
+    GuestOs os;
+    PsrConfig cfg;
+    PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
+    vm.trace = &trace;
+    vm.reset();
+    (void)vm.run(100'000);
+    inject(*exploit, mem, vm.state);
+    (void)vm.run(10'000);
+
+    ASSERT_EQ(trace.dropped(), 0u);
+    uint64_t instants = 0;
+    for (const telemetry::TraceEvent &ev : trace.snapshot())
+        instants += std::string(ev.name) == "vm.security_event";
+    EXPECT_GT(vm.stats.securityEvents, 0u);
+    EXPECT_EQ(instants, vm.stats.securityEvents);
 }
 
 TEST(Security, HipstrRequestsMigrationOnAttack)

@@ -2,15 +2,20 @@
  * @file
  * Superblock-trace smoke canaries (dispatch_smoke tier): the hot loop
  * actually forms traces, steady state retires its transfers through
- * them, and the flush-heavy tiny-cache configuration stays correct
- * with traces constantly invalidated under a running trace.
+ * them, the flush-heavy tiny-cache configuration stays correct
+ * with traces constantly invalidated under a running trace, and every
+ * memory row of the trace-handler table describes the access its
+ * instruction really makes.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "isa/exec_inline.hh"
 #include "test_util.hh"
+#include "vm/jit/engine.hh"
 #include "vm/psr_vm.hh"
 #include "workloads/workloads.hh"
 
@@ -25,6 +30,177 @@ workloadBinary(const std::string &name)
     WorkloadConfig wcfg;
     wcfg.scale = 1;
     return compileModule(buildWorkload(name, wcfg));
+}
+
+/**
+ * The instruction a memory row of the trace-handler table specializes,
+ * built from the row's op and shape: reg operands use r3 (first) and
+ * r6 (source), memory operands [r5+disp], immediates @p imm.
+ */
+MachInst
+instForRow(const TraceOpInfo &info, int32_t disp, int32_t imm)
+{
+    const bool mem_first = info.shape == TraceShape::MR ||
+        info.shape == TraceShape::MI;
+    const Operand first = mem_first ? Operand::makeMem(5, disp)
+                                    : Operand::makeReg(3);
+    const Operand second = info.shape == TraceShape::RM
+        ? Operand::makeMem(5, disp)
+        : info.shape == TraceShape::MI ? Operand::makeImm(imm)
+                                       : Operand::makeReg(6);
+    MachInst mi;
+    mi.op = info.op;
+    if (opInfo(info.op).alu) {
+        mi.dst = first;
+        mi.src1 = mem_first ? first : Operand::makeReg(2);
+        mi.src2 = second;
+    } else if (info.op == Op::Cmp || info.op == Op::Test) {
+        mi.src1 = first;
+        mi.src2 = second;
+    } else if (info.op == Op::Push) {
+        mi.src1 = second;
+    } else if (info.op == Op::Pop) {
+        mi.dst = second;
+    } else {
+        mi.dst = first;
+        mi.src1 = second;
+    }
+    return mi;
+}
+
+/**
+ * A two-op trace: @p op on instruction @p mi, then TraceEnd resuming
+ * at a halt. It runs from the VM's entry block, so PsrVm::run takes
+ * it through the ordinary trace entry: Halted means the op completed,
+ * Fault that it faulted.
+ */
+struct OneOpTrace
+{
+    TranslatedBlock blk;
+    SuperTrace tr;
+
+    OneOpTrace(const MachInst &mi, TraceOp op, Addr pc)
+    {
+        for (const MachInst &m : { mi, MachInst::halt() }) {
+            TInst ti;
+            ti.mi = m;
+            ti.guestStart = true;
+            ti.guestCum = static_cast<uint32_t>(blk.insts.size() + 1);
+            blk.insts.push_back(ti);
+        }
+        blk.srcStart = pc;
+        tr.headPc = pc;
+        tr.segs.push_back({ &blk, pc });
+        op.ti = &blk.insts[0];
+        TraceOp end;
+        end.h = TraceH::TraceEnd;
+        end.instIdx = 1;
+        end.ti = &blk.insts[1];
+        tr.ops = { op, end };
+    }
+};
+
+TEST(SuperblockSmoke, MemoryRowsMatchTheInterpreter)
+{
+    // For every trace handler that touches memory, the JIT's hint-miss
+    // probe (which reads base, displacement, width and direction from
+    // the handler's row), the trace executors and the reference
+    // interpreter must agree on whether the access faults: at the
+    // first heap word, just below the heap (unmapped), at the last
+    // word and the last byte of the address space (a RW tail page,
+    // where only the access width decides), and on the read-only
+    // function table. The displacement is large and the immediate far
+    // off, so a row naming the wrong field, width, direction or stack
+    // offset disagrees at one of these edges.
+    FatBinary bin = workloadBinary("hmmer");
+    const uint8_t sp = isaDescriptor(IsaKind::Cisc).spReg;
+    constexpr int32_t kDisp = 0x2000;
+    constexpr int32_t kImm = 0x7fff0000;
+
+    for (PsrConfig::JitMode jit :
+         { PsrConfig::JitMode::Off, PsrConfig::JitMode::On }) {
+        Memory mem;
+        loadFatBinary(bin, mem);
+        mem.setRegion(layout::kMemEnd - 0x1000, 0x1000, PermRW, "tail");
+        GuestOs os;
+        PsrConfig cfg;
+        cfg.traceMode = PsrConfig::TraceMode::On;
+        cfg.jitMode = jit;
+        PsrVm vm(bin, IsaKind::Cisc, mem, os, cfg);
+        vm.reset();
+        const MachineState entry = vm.state;
+        ASSERT_EQ(vm.run(1).reason, VmStop::StepLimit);
+        TranslatedBlock *head = vm.codeCache().lookup(entry.pc);
+        ASSERT_NE(head, nullptr);
+
+        size_t rows = 0;
+        for (size_t i = 0;
+             i < static_cast<size_t>(TraceH::NumHandlers); ++i) {
+            const TraceH h = static_cast<TraceH>(i);
+            const TraceOpInfo &info = traceOpInfo(h);
+            if (info.access == TraceAccess::None)
+                continue;
+            ++rows;
+            const MachInst mi = instForRow(info, kDisp, kImm);
+            OneOpTrace one(mi, traceOpFor(mi, sp), entry.pc);
+            ASSERT_EQ(one.tr.ops[0].h, h) << info.name;
+
+            const bool stack = info.op == Op::Push || info.op == Op::Pop;
+            const Reg base = stack ? sp : 5;
+            const int32_t off = info.op == Op::Push ? -4
+                : info.op == Op::Pop                ? 0
+                                                    : kDisp;
+            const Addr cases[] = { layout::kHeapBase,
+                                   layout::kHeapBase - 4,
+                                   layout::kMemEnd - 4,
+                                   layout::kMemEnd - 1,
+                                   layout::kCiscFuncTable };
+            for (Addr addr : cases) {
+                const std::string label = std::string(info.name) +
+                    " @0x" + std::to_string(addr);
+                MachineState st = entry;
+                st.regs[2] = 7;
+                st.regs[3] = 9;
+                st.regs[6] = 3;
+                st.regs[base] = addr - static_cast<uint32_t>(off);
+
+                std::vector<Memory::SpanHint> hints(1);
+                jit::JitFrame f;
+                f.vm = &vm;
+                f.trace = &one.tr;
+                f.regs = st.regs.data();
+                f.opHints = hints.data();
+                const bool probe_ok =
+                    jit::TraceJit::memProbe(&f, 0) != 0;
+
+                vm.state = st;
+                head->strace = &one.tr;
+                const VmStop traced = vm.run(1000).reason;
+                head->strace = nullptr;
+                ASSERT_TRUE(traced == VmStop::Halted ||
+                            traced == VmStop::Fault)
+                    << label;
+
+                const ExecStatus es =
+                    executeInstInline(mi, st, mem, &os);
+                ASSERT_NE(es, ExecStatus::Halted) << label;
+                const bool ref_ok = es == ExecStatus::Continue;
+                EXPECT_EQ(probe_ok, ref_ok) << label;
+                EXPECT_EQ(traced == VmStop::Halted, ref_ok) << label;
+                if (addr == layout::kHeapBase) {
+                    EXPECT_TRUE(ref_ok) << label;
+                } else if (addr == layout::kHeapBase - 4) {
+                    EXPECT_FALSE(ref_ok) << label;
+                }
+            }
+        }
+        EXPECT_GT(rows, 40u);
+        const char *why = nullptr;
+        if (jit == PsrConfig::JitMode::On &&
+            jit::TraceJit::hostSupported(&why)) {
+            EXPECT_EQ(vm.jitStats().compiledTraces, rows);
+        }
+    }
 }
 
 TEST(SuperblockSmoke, HotLoopFormsTraces)
