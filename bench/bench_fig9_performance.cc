@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 
@@ -46,25 +47,33 @@ steadyStateRate(const FatBinary &bin, telemetry::TraceBuffer *tb,
     (void)vm.run(50'000); // warm the code cache
     const uint64_t target =
         benchOptions().smoke ? 2'000'000 : 20'000'000;
-    uint64_t executed = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    while (executed < target) {
-        uint64_t before = vm.stats.guestInsts;
-        auto r = vm.run(100'000);
-        executed += vm.stats.guestInsts - before;
-        if (r.reason != VmStop::StepLimit) {
-            os.reset();
-            vm.reset();
+    // Best of three back-to-back windows: a smoke window lasts a few
+    // milliseconds, so one scheduler stall under a parallel ctest
+    // would otherwise read as a slower dispatch loop.
+    double best = 0;
+    for (int window = 0; window < 3; ++window) {
+        uint64_t executed = 0;
+        auto t0 = std::chrono::steady_clock::now();
+        while (executed < target) {
+            uint64_t before = vm.stats.guestInsts;
+            auto r = vm.run(100'000);
+            executed += vm.stats.guestInsts - before;
+            if (r.reason != VmStop::StepLimit) {
+                os.reset();
+                vm.reset();
+            }
         }
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        if (secs > 0)
+            best = std::max(best, double(executed) / secs);
     }
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
     if (trace_reg != nullptr) {
         vm.publishTraceTelemetry(*trace_reg);
         vm.publishJitTelemetry(*trace_reg);
     }
-    return secs > 0 ? double(executed) / secs : 0;
+    return best;
 }
 
 /**
@@ -99,7 +108,9 @@ checkTelemetryZeroCost()
            "trace.sideExits", "trace.execFallbacks",
            "jit.compiledTraces", "jit.codeBytes", "jit.executions",
            "jit.sideExits", "jit.bailouts", "jit.invalidated",
-           "jit.execFallbacks" })
+           "jit.execFallbacks", "trace.sideFormed", "trace.sideEntries",
+           "vm.tier.block_insts", "vm.tier.trace_insts",
+           "vm.tier.jit_insts" })
         benchHostMetric(key, double(trace_reg.counter(key).value()));
     if (masked_rate < 0.5 * off_rate) {
         hipstr_fatal("masked telemetry slowed steady-state dispatch: "

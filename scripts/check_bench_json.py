@@ -244,6 +244,10 @@ FIG9_JIT_KEYS = (
     "jit.execFallbacks",
 )
 
+FIG9_TIER_KEYS = (
+    "vm.tier.block_insts", "vm.tier.trace_insts", "vm.tier.jit_insts",
+)
+
 
 def check_fig9_host(path, doc):
     """BENCH_fig9_performance_host.json carries the trace-JIT
@@ -251,8 +255,10 @@ def check_fig9_host(path, doc):
     required (an HIPSTR_JIT=0 run publishes zeros); when the JIT did
     run, the counters must be internally consistent: every execution
     comes from a compiled trace, compiled traces occupy code bytes,
-    and at most one side exit fires per entry."""
-    for key in FIG9_JIT_KEYS:
+    and at most one side exit fires per entry. The per-tier guest
+    instruction split rides along: the JIT tier is empty when the JIT
+    never executed."""
+    for key in FIG9_JIT_KEYS + FIG9_TIER_KEYS:
         v = doc.get(key)
         if v is None:
             fail(path, f"missing jit counter {key!r}")
@@ -265,6 +271,8 @@ def check_fig9_host(path, doc):
     if (doc["jit.compiledTraces"] > 0) != (doc["jit.codeBytes"] > 0):
         fail(path, "jit.compiledTraces and jit.codeBytes disagree "
                    "about whether anything was compiled")
+    if doc["jit.executions"] == 0 and doc["vm.tier.jit_insts"] > 0:
+        fail(path, "vm.tier.jit_insts > 0 without a JIT execution")
     if doc["jit.sideExits"] > doc["jit.executions"]:
         fail(path, f"jit.sideExits {doc['jit.sideExits']} exceeds "
                    f"jit.executions {doc['jit.executions']} (at most "

@@ -1,24 +1,32 @@
 #include "guest_os.hh"
 
+#include <cstring>
+
 #include "support/logging.hh"
 
 namespace hipstr
 {
 
 void
-GuestOs::emit(uint8_t b)
+GuestOs::emit(const uint8_t *p, size_t n)
 {
-    foldBytes(_outputHash, &b, 1);
-    ++_totalOutputBytes;
-    _output.push_back(b);
-    // Amortized trim: let the buffer run to twice the cap, then drop
-    // the oldest bytes in one erase. The retained window is a pure
-    // function of (stream, cap) — never of when callers observed it.
-    if (_outputCap != 0 && _output.size() > 2 * _outputCap) {
+    foldBytes(_outputHash, p, n);
+    _totalOutputBytes += n;
+    _output.insert(_output.end(), p, p + n);
+    // Amortized trim: the buffer runs to twice the cap, then drops the
+    // oldest bytes down to the cap in one erase. The retained window
+    // is a pure function of (stream, cap) — never of when callers
+    // observed it, nor of how the stream was chunked: past 2*cap the
+    // per-byte rule keeps cap bytes plus whatever arrived since its
+    // last trim, a cycle of cap + 1 bytes, and this keeps the same
+    // tail.
+    const size_t size = _output.size();
+    if (_outputCap != 0 && size > 2 * _outputCap) {
+        const size_t keep =
+            _outputCap + (size - 2 * _outputCap - 1) % (_outputCap + 1);
         _output.erase(_output.begin(),
                       _output.begin() +
-                          static_cast<std::ptrdiff_t>(_output.size() -
-                                                      _outputCap));
+                          static_cast<std::ptrdiff_t>(size - keep));
     }
 }
 
@@ -54,9 +62,11 @@ GuestOs::handleSyscall(MachineState &state, Memory &mem)
             state.setReg(desc.retReg, static_cast<uint32_t>(-1));
             return true;
         }
-        for (uint32_t i = 0; i < len; ++i)
-            emit(mem.read8(a1 + i));
-        emit(static_cast<uint8_t>(a3));
+        // One span copy of the validated buffer plus its terminator.
+        uint8_t chunk[4097];
+        std::memcpy(chunk, mem.data() + a1, len);
+        chunk[len] = static_cast<uint8_t>(a3);
+        emit(chunk, len + 1);
         state.setReg(desc.retReg, len);
         return true;
       }

@@ -118,8 +118,9 @@ class GuestOs
     }
 
   private:
-    /** Append one output byte: fold the checksum, honor the cap. */
-    void emit(uint8_t b);
+    /** Append @p n output bytes: fold the checksum, honor the cap. */
+    void emit(const uint8_t *p, size_t n);
+    void emit(uint8_t b) { emit(&b, 1); }
     /** The one checkpoint field list (support/serialize.hh). */
     template <class A>
     void transfer(A &a);

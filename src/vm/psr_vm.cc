@@ -116,6 +116,10 @@ PsrVm::publishTraceTelemetry(telemetry::MetricRegistry &reg) const
     reg.counter("trace.invalidated").set(_traces.stats.invalidated);
     reg.counter("trace.sideExits").set(_traces.stats.sideExits);
     reg.counter("trace.execFallbacks").set(_traces.stats.execFallbacks);
+    reg.counter("trace.sideFormed").set(_traces.stats.sideFormed);
+    reg.counter("trace.sideEntries").set(_traces.stats.sideEntries);
+    reg.counter("vm.tier.block_insts").set(_tier.blockInsts);
+    reg.counter("vm.tier.trace_insts").set(_tier.traceInsts);
 }
 
 void
@@ -128,6 +132,7 @@ PsrVm::publishJitTelemetry(telemetry::MetricRegistry &reg) const
     reg.counter("jit.bailouts").set(_jit.stats.bailouts);
     reg.counter("jit.invalidated").set(_jit.stats.invalidated);
     reg.counter("jit.execFallbacks").set(_jit.stats.execFallbacks);
+    reg.counter("vm.tier.jit_insts").set(_tier.jitInsts);
 }
 
 double
@@ -310,9 +315,12 @@ PsrVm::run(uint64_t max_guest_insts)
     const double ts0 = spans ? traceTs() : 0;
     const uint64_t g0 = stats.guestInsts;
 
+    const uint64_t traced0 = _tier.traceInsts + _tier.jitInsts;
     VmRunResult res = (fetchTraceHook || dataTraceHook)
         ? runLoop<true>(max_guest_insts)
         : runLoop<false>(max_guest_insts);
+    _tier.blockInsts += (stats.guestInsts - g0) -
+        (_tier.traceInsts + _tier.jitInsts - traced0);
 
     if (spans) {
         trace->record(
@@ -423,6 +431,74 @@ PsrVm::emitCallLinkage(Addr source_ra, VmRunResult &stop)
     return true;
 }
 
+TraceExit
+PsrVm::enterTrace(SuperTrace *t, uint64_t guest_budget,
+                  VmRunResult &stop)
+{
+    const uint8_t sp_reg = isaDescriptor(_isa).spReg;
+    while (true) {
+        // Compiled execution first; the threaded interpreter is the
+        // per-entry fallback when a gate is live (control-trace hook,
+        // journaling) or the trace cannot be compiled. Both paths
+        // produce identical TraceExits and identical deterministic
+        // counters, so the links below serve both.
+        TraceExit tx;
+        const uint64_t g0 = stats.guestInsts;
+        const bool jitted = _jitOn && !controlTraceHook &&
+            !_mem.journaling() && _jit.run(*this, t, guest_budget, stop, tx);
+        if (!jitted) {
+            if (_jitOn)
+                ++_jit.stats.bailouts;
+            tx = runTrace(t, guest_budget, stop);
+        }
+        uint64_t &tier = jitted ? _tier.jitInsts : _tier.traceInsts;
+        tier += stats.guestInsts - g0;
+        if (tx.kind != TraceExitKind::Resume)
+            return tx;
+
+        const TraceOp &op = t->ops[tx.op];
+        if (op.h == TraceH::SegBranchCc) {
+            // Fall-through exit: the dominant edge was not taken and
+            // the owner block continues at instIdx + 1. Once hot, that
+            // rest of the block roots a side trace; a linked one runs
+            // straight away (the not-taken Jcc is pure, and the
+            // child's first boundary fold covers the parent's
+            // unfolded prefix, so the credited base stays 0).
+            SideExit &se = t->side(tx.op);
+            if (se.child == nullptr && !se.dead &&
+                ++se.hits >= _cfg.traceHotThreshold) {
+                se.child = _traces.tryForm(tx.blk, _cfg, sp_reg,
+                                           _cfg.isomeronMode,
+                                           _cache.flushes(),
+                                           tx.instIdx + 1);
+                if (se.child == nullptr) {
+                    if (++se.fails >= 4)
+                        se.dead = true;
+                    else
+                        se.hits = 0;
+                }
+            }
+            if (se.child != nullptr) {
+                ++_traces.stats.sideEntries;
+                t = se.child;
+                continue;
+            }
+        } else if (op.h == TraceH::TraceEnd && tx.instIdx == 0 &&
+                   tx.blk->strace != nullptr) {
+            // The trace ended on an edge into another trace's head
+            // (a side trace rejoining its root): enter that trace as
+            // a fresh block entry would. The edge checked the budget.
+            t = tx.blk->strace;
+            continue;
+        }
+        // The block loop folds the segment prefix [0, instIdx) the
+        // trace ran: credit it to the tier that ran it.
+        if (tx.instIdx > 0)
+            tier += tx.blk->insts[tx.instIdx - 1].guestCum;
+        return tx;
+    }
+}
+
 template <bool Traced>
 VmRunResult
 PsrVm::runLoop(uint64_t max_guest_insts)
@@ -449,37 +525,21 @@ PsrVm::runLoop(uint64_t max_guest_insts)
     };
 
     // Block-loop entry state for trace side exits: resume_i is the
-    // instruction index the next block iteration starts at (credited
-    // stays 0 — traces never fold mid-segment), and from_resume
-    // suppresses trace re-entry for that one iteration so the resumed
-    // instruction is re-executed by the baseline machinery.
+    // instruction index this iteration's block starts at (credited
+    // stays 0 — traces never fold mid-segment). A resumed block runs
+    // in the same iteration as the trace that exited into it, so the
+    // next iteration is an ordinary block entry: it may enter a trace
+    // and it bumps the hot count.
     size_t resume_i = 0;
-    [[maybe_unused]] bool from_resume = false;
 
     while (true) {
         if constexpr (!Traced) {
             // Superblock traces live only on the untraced loop: the
             // fetch/data-hooked loop models per-instruction cache
             // behaviour and must keep the baseline dispatch shape.
-            const bool entered_from_resume = from_resume;
-            from_resume = false;
-            if (_traceOn && !entered_from_resume) {
+            if (_traceOn) {
                 if (SuperTrace *t = blk->strace; t != nullptr) {
-                    // Compiled execution first; the threaded
-                    // interpreter is the per-entry fallback when a
-                    // gate is live (control-trace hook, journaling)
-                    // or the trace cannot be compiled. Both paths
-                    // produce identical TraceExits and identical
-                    // deterministic counters.
-                    TraceExit tx;
-                    const bool jitted = _jitOn && !controlTraceHook &&
-                        !_mem.journaling() &&
-                        _jit.run(*this, t, guest_budget, stop, tx);
-                    if (!jitted) {
-                        if (_jitOn)
-                            ++_jit.stats.bailouts;
-                        tx = runTrace(t, guest_budget, stop);
-                    }
+                    TraceExit tx = enterTrace(t, guest_budget, stop);
                     if (tx.kind == TraceExitKind::Stop)
                         return stop;
                     if (tx.kind == TraceExitKind::DispatchTo) {
@@ -498,7 +558,6 @@ PsrVm::runLoop(uint64_t max_guest_insts)
                     }
                     blk = tx.blk;
                     resume_i = tx.instIdx;
-                    from_resume = true;
                 } else if (!blk->traceDead &&
                            ++blk->hotCount >= _cfg.traceHotThreshold) {
                     _traces.collectRetired();

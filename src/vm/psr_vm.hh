@@ -104,6 +104,21 @@ struct VmStats
 };
 
 /**
+ * Guest instructions retired per execution tier: the block loop, the
+ * threaded trace interpreter, compiled trace code. Host-side only —
+ * the split moves with HIPSTR_TRACE/HIPSTR_JIT — so it lives outside
+ * VmStats, checkpoints and every deterministic summary. A trace's
+ * side-exit prefix (run by the trace, folded later by the block loop)
+ * counts toward the trace's tier.
+ */
+struct TierStats
+{
+    uint64_t blockInsts = 0;
+    uint64_t traceInsts = 0;
+    uint64_t jitInsts = 0;
+};
+
+/**
  * Checkpoint field list (support/serialize.hh). traceFollows and
  * chainFollows split differently with HIPSTR_TRACE, but both travel
  * verbatim: a checkpoint is restored under the knob setting it was
@@ -230,11 +245,17 @@ class PsrVm
     bool tracingEnabled() const { return _traceOn; }
     const TraceStats &traceStats() const { return _traces.stats; }
     size_t liveTraces() const { return _traces.liveCount(); }
+    /** The engine itself (every live trace, side traces included). */
+    const TraceEngine &traceEngine() const { return _traces; }
+    /** Guest instructions per execution tier (never reset). */
+    const TierStats &tierStats() const { return _tier; }
     /** @} */
 
     /**
      * Mirror the trace counters (trace.formed/follows/invalidated/
-     * sideExits/execFallbacks) into @p reg. Host-side observability
+     * sideExits/execFallbacks/sideFormed/sideEntries) and the block
+     * and trace tiers (vm.tier.block_insts/trace_insts) into @p reg;
+     * publishJitTelemetry adds vm.tier.jit_insts. Host-side observability
      * only — callers must not route this into a deterministic bench
      * registry, since trace coverage legitimately changes with
      * HIPSTR_TRACE.
@@ -322,6 +343,16 @@ class PsrVm
     /** @} */
 
     /**
+     * Run the trace tree rooted at @p t — compiled, or interpreted
+     * when a per-entry gate is live — following linked side traces
+     * and edges into other trace heads without a block-loop
+     * iteration, and growing side traces from hot fall-through
+     * exits. Returns the last trace's exit.
+     */
+    TraceExit enterTrace(SuperTrace *t, uint64_t guest_budget,
+                         VmRunResult &stop);
+
+    /**
      * Run @p tr's threaded op stream until a stop, a side exit, or an
      * abandoning flush (defined in superblock.cc).
      */
@@ -388,6 +419,7 @@ class PsrVm
     CodeCache _cache;
     ReturnAddressTable _rat;
     TraceEngine _traces;
+    TierStats _tier;
     bool _traceOn = false; ///< traceMode resolved against HIPSTR_TRACE
     /** The trace JIT needs the dispatch internals its helpers mirror
         (emitCallLinkage, _cache, _traces, _mem, _os). */

@@ -145,15 +145,19 @@ cleanPrefix(const TranslatedBlock *b, int bound)
  * Dominant exit of @p b: the most-taken edge, if it has been taken at
  * least kMinEdgeHits times and carries at least two thirds of the
  * block's recorded exits. Ties resolve to the lowest index, keeping
- * formation deterministic for a given execution history.
+ * formation deterministic for a given execution history. A nonzero
+ * @p start (a side trace's first block) considers only the exits
+ * whose boundary instruction is at or after @p start.
  */
 int
-dominantExit(const TranslatedBlock *b)
+dominantExit(const TranslatedBlock *b, int start)
 {
     uint64_t total = 0;
     uint64_t best_hits = 0;
     int best = -1;
     for (size_t e = 0; e < b->exits.size(); ++e) {
+        if (start > 0 && boundaryInstFor(b, e) < start)
+            continue;
         uint64_t h = b->exits[e].hitCount;
         total += h;
         if (h > best_hits) {
@@ -189,6 +193,7 @@ terminalInst(const TranslatedBlock *b)
 struct PlannedSeg
 {
     TranslatedBlock *blk;
+    int first;    ///< inst index of the segment's first instruction
     int boundary; ///< inst index of the segment's last instruction
     int exitIdx;  ///< taken exit (interior segments), -1 for final
     bool isFinal;
@@ -272,9 +277,11 @@ traceOpFor(const MachInst &mi, uint8_t sp_reg)
 
 SuperTrace *
 TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
-                     uint8_t sp_reg, bool isomeron, uint64_t flush_gen)
+                     uint8_t sp_reg, bool isomeron, uint64_t flush_gen,
+                     uint32_t start)
 {
     ++stats.attempts;
+    const bool side = start > 0;
 
     // Walk the dominant chained edges. A block extends the trace when
     // its hottest exit is a chained direct branch/call whose boundary
@@ -282,12 +289,17 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
     // anything else ends the walk and the last block becomes the
     // final (resume-into-the-block-loop) segment. Revisiting a
     // non-head block simply unrolls it; reaching the head closes the
-    // trace into a loop.
+    // trace into a loop. A side trace starts mid-block, so it never
+    // closes on its head: it ends instead at the first block that
+    // heads a live trace (an empty final segment at that block's
+    // instruction 0), and the dispatch loop enters that trace next.
     std::vector<PlannedSeg> plan;
     TranslatedBlock *cur = head;
+    int first = static_cast<int>(start);
     bool loop_back = false;
+    bool linked = false;
     while (plan.size() < cfg.traceMaxBlocks) {
-        int e = dominantExit(cur);
+        int e = dominantExit(cur, first);
         if (e < 0)
             break;
         const BlockExit &ex = cur->exits[static_cast<size_t>(e)];
@@ -297,27 +309,38 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
             ex.chained->srcStart != ex.target)
             break;
         int boundary = boundaryInstFor(cur, static_cast<size_t>(e));
-        if (boundary < 0 || !cleanPrefix(cur, boundary))
+        if (boundary < first || !cleanPrefix(cur, boundary))
             break;
         if (cur->insts[boundary].klass == ExecClass::Jcc &&
             ex.kind != BlockExit::Kind::Branch)
             break;
-        plan.push_back({ cur, boundary, e, false });
+        plan.push_back({ cur, first, boundary, e, false });
+        first = 0;
         TranslatedBlock *next = ex.chained;
-        if (next == head) {
+        if (side && next->strace != nullptr) {
+            plan.push_back({ next, 0, 0, -1, true });
+            linked = true;
+            break;
+        }
+        if (!side && next == head) {
             loop_back = true;
             break;
         }
         cur = next;
     }
 
-    if (!loop_back) {
-        if (plan.empty())
+    if (!loop_back && !linked) {
+        // A root needs at least one chained edge (the block loop runs
+        // a lone block as well); a side trace may be just the rest of
+        // its owner block.
+        if (plan.empty() && !side)
             return nullptr; // no dominant chain yet (or ever)
         int endi = terminalInst(cur);
-        if (endi < 0 || !cleanPrefix(cur, endi))
+        if (endi < first || !cleanPrefix(cur, endi))
             return nullptr;
-        plan.push_back({ cur, endi, -1, true });
+        if (plan.empty() && endi == first)
+            return nullptr; // nothing to run before the boundary
+        plan.push_back({ cur, first, endi, -1, true });
     }
 
     auto tr = std::make_unique<SuperTrace>();
@@ -331,7 +354,7 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
         seg_first.push_back(static_cast<uint32_t>(tr->ops.size()));
         tr->segs.push_back({ ps.blk, ps.blk->srcStart });
 
-        for (int i = 0; i < ps.boundary; ++i) {
+        for (int i = ps.first; i < ps.boundary; ++i) {
             const TInst &ti =
                 ps.blk->insts[static_cast<size_t>(i)];
             if (ti.klass == ExecClass::Jcc) {
@@ -386,7 +409,10 @@ TraceEngine::tryForm(TranslatedBlock *head, const PsrConfig &cfg,
         tr->ops.back().jumpTo = 0;
 
     SuperTrace *raw = tr.get();
-    head->strace = raw;
+    if (side)
+        ++stats.sideFormed;
+    else
+        head->strace = raw;
     _live.push_back(std::move(tr));
     ++stats.formed;
     return raw;
@@ -737,6 +763,7 @@ PsrVm::resumeTraceOwner(const SuperTrace &tr, const TraceOp &op,
     tx.kind = TraceExitKind::Resume;
     tx.blk = sg.blk;
     tx.instIdx = op.instIdx;
+    tx.op = static_cast<uint32_t>(&op - tr.ops.data());
 }
 
 } // namespace hipstr

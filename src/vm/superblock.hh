@@ -11,13 +11,17 @@
  * the guarded instruction, and every indirect transfer (returns,
  * indirect jumps/calls, syscall redirects) ends the trace so the SFI
  * check and the Section 3.5 code-cache-miss policy run on the one
- * path that always ran them. Deterministic counters are folded from
- * the translate-time running totals at trace boundaries exactly as
- * the block loop folds them at block boundaries, so every counter the
- * benches export is byte-identical with tracing on or off; only
- * chainFollows/traceFollows split (an on-trace edge counts as a
- * traceFollow instead of a chainFollow), and neither feeds the timing
- * model or a deterministic BENCH json.
+ * path that always ran them. A hot fall-through exit (the dominant
+ * edge of a SegBranchCc not taken) grows a side trace from the rest
+ * of its owner block, and PsrVm::enterTrace links parent to child in
+ * the dispatch loop, with no block-loop iteration in between.
+ * Deterministic counters are folded from the translate-time running
+ * totals at trace boundaries exactly as the block loop folds them at
+ * block boundaries, so every counter the benches export is
+ * byte-identical with tracing on or off; only chainFollows/
+ * traceFollows split (an on-trace edge counts as a traceFollow
+ * instead of a chainFollow), and neither feeds the timing model or a
+ * deterministic BENCH json.
  *
  * Invalidation composes with the flush protocol: a trace records the
  * code-cache flush generation at formation; any flush (capacity,
@@ -292,6 +296,20 @@ struct TraceSegment
     Addr guestPc = 0; ///< blk->srcStart (the block loop's block_pc)
 };
 
+/**
+ * Host-side profile of one SegBranchCc op's fall-through exits (the
+ * dominant edge not taken), and the side trace grown from them. Kept
+ * beside the op stream, never inside a TraceOp, so the threaded loop
+ * and the JIT never see it.
+ */
+struct SideExit
+{
+    uint32_t hits = 0;           ///< fall-through exits since last try
+    uint8_t fails = 0;           ///< formation attempts that failed
+    bool dead = false;           ///< formation given up for good
+    SuperTrace *child = nullptr; ///< linked side trace, or nullptr
+};
+
 /** A formed superblock trace, owned by the TraceEngine. */
 struct SuperTrace
 {
@@ -300,6 +318,21 @@ struct SuperTrace
     bool loopBack = false; ///< last edge jumps to op 0 (hot loop)
     std::vector<TraceOp> ops;
     std::vector<TraceSegment> segs;
+    /**
+     * Per-op fall-through profile, indexed like @c ops (only
+     * SegBranchCc slots are used). Sized on the first fall-through
+     * exit, so traces that never fall through pay nothing.
+     */
+    std::vector<SideExit> sides;
+
+    /** The fall-through slot of op @p idx. */
+    SideExit &
+    side(uint32_t idx)
+    {
+        if (sides.size() != ops.size())
+            sides.resize(ops.size());
+        return sides[idx];
+    }
 
     /**
      * Trace-JIT metadata, embedded here (rather than keyed on the
@@ -339,6 +372,7 @@ struct TraceExit
     TraceExitKind kind = TraceExitKind::Stop;
     TranslatedBlock *blk = nullptr;
     uint32_t instIdx = 0;
+    uint32_t op = 0; ///< Resume: index of the exiting op
     Addr target = 0;
 };
 
@@ -349,6 +383,11 @@ struct TraceStats
     uint64_t attempts = 0;
     uint64_t invalidated = 0;
     uint64_t sideExits = 0;
+    /** Side traces formed from hot fall-through exits (also counted
+        in @c formed), and parent-to-child entries taken. @{ */
+    uint64_t sideFormed = 0;
+    uint64_t sideEntries = 0;
+    /** @} */
     /** Interpreted ops that ran through the generic Exec handler. */
     uint64_t execFallbacks = 0;
 };
@@ -367,18 +406,34 @@ class TraceEngine
      * trace (head->strace set) or nullptr when no dominant chain
      * exists yet. @p flush_gen is the code cache's current flush
      * count; @p sp_reg the ISA's stack-pointer register index.
+     *
+     * A nonzero @p start forms a side trace instead: its first
+     * segment runs head's instructions [start, boundary), considering
+     * only exits at or after @p start, and head->strace is left
+     * alone (the caller links the child into its parent's SideExit).
+     * A side trace also stops at the first chained block that heads
+     * a live trace, ending there so the dispatch loop enters that
+     * trace next.
      */
     SuperTrace *tryForm(TranslatedBlock *head, const PsrConfig &cfg,
                         uint8_t sp_reg, bool isomeron,
-                        uint64_t flush_gen);
+                        uint64_t flush_gen, uint32_t start = 0);
 
-    /** Retire every live trace (any code-cache flush). */
+    /** Retire every live trace, side traces included (any
+        code-cache flush). */
     void invalidateAll();
 
     /** Free retired traces; call only outside trace execution. */
     void collectRetired() { _retired.clear(); }
 
     size_t liveCount() const { return _live.size(); }
+
+    /** Live traces in formation order, roots and side traces. */
+    const std::vector<std::unique_ptr<SuperTrace>> &
+    live() const
+    {
+        return _live;
+    }
 
     /**
      * Live traces that currently hold a compiled JIT body — the ones

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "isa/codec.hh"
@@ -416,6 +418,62 @@ TEST(GuestOs, WriteBufAndChecksum)
     uint64_t sum1 = os.outputChecksum();
     os.reset();
     EXPECT_NE(os.outputChecksum(), sum1);
+}
+
+TEST(GuestOs, BulkWriteBufKeepsThePerByteWindow)
+{
+    // WriteBuf appends its buffer and terminator in one step. The
+    // retained output, the checksum and the byte total must be what
+    // appending the same stream one byte at a time (push, then trim
+    // to the cap once past twice the cap) leaves, for every chunking:
+    // chunks shorter than, equal to and just past 2 * cap, and with
+    // no cap at all.
+    constexpr Addr kBase = 0x10000;
+    constexpr uint32_t kStream = 9000;
+    Memory mem;
+    mem.setRegion(kBase, 0x4000, PermRW, "data");
+    std::vector<uint8_t> stream(kStream);
+    for (uint32_t i = 0; i < kStream; ++i) {
+        stream[i] = static_cast<uint8_t>(i * 37 + 11);
+        mem.write8(kBase + i, stream[i]);
+    }
+    const IsaDescriptor &desc = isaDescriptor(IsaKind::Risc);
+
+    for (size_t cap : { size_t(0), size_t(1), size_t(5), size_t(64),
+                        size_t(1000) }) {
+        std::vector<uint8_t> ref;
+        uint64_t ref_hash = kFnvBasis;
+        for (uint8_t b : stream) {
+            foldBytes(ref_hash, &b, 1);
+            ref.push_back(b);
+            if (cap != 0 && ref.size() > 2 * cap)
+                ref.erase(ref.begin(),
+                          ref.end() - static_cast<std::ptrdiff_t>(cap));
+        }
+        for (uint32_t chunk :
+             { 1u, 2u, 7u, uint32_t(2 * cap), uint32_t(2 * cap + 1),
+               uint32_t(2 * cap + 2), 129u, 4097u }) {
+            if (chunk == 0 || chunk > 4097)
+                continue;
+            const std::string label = "cap " + std::to_string(cap) +
+                " chunk " + std::to_string(chunk);
+            GuestOs os;
+            os.setOutputCap(cap);
+            MachineState st(IsaKind::Risc);
+            for (uint32_t off = 0; off < kStream; off += chunk) {
+                const uint32_t n = std::min(chunk, kStream - off);
+                st.setReg(desc.retReg, uint32_t(SyscallNo::WriteBuf));
+                st.setReg(desc.argRegs[1], kBase + off);
+                st.setReg(desc.argRegs[2], n - 1);
+                st.setReg(desc.argRegs[3], stream[off + n - 1]);
+                ASSERT_TRUE(os.handleSyscall(st, mem)) << label;
+                ASSERT_EQ(st.reg(desc.retReg), n - 1) << label;
+            }
+            EXPECT_EQ(os.output(), ref) << label;
+            EXPECT_EQ(os.outputChecksum(), ref_hash) << label;
+            EXPECT_EQ(os.totalOutputBytes(), kStream) << label;
+        }
+    }
 }
 
 TEST(GuestOs, ExecveCapturesArgs)

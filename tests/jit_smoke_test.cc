@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -61,6 +63,8 @@ struct SmokeRun
     size_t arenaUsed = 0;
     uint32_t exitCode = 0;
     uint64_t outputChecksum = 0;
+    VmStats stats;
+    TraceStats traces;
 };
 
 /**
@@ -106,6 +110,8 @@ steadyRun(PsrConfig::JitMode mode, size_t arena_bytes,
     out.arenaUsed = vm.jitEngine().arenaUsed();
     out.exitCode = os.exitCode();
     out.outputChecksum = os.outputChecksum();
+    out.stats = vm.stats;
+    out.traces = vm.traceStats();
     return out;
 }
 
@@ -170,6 +176,30 @@ TEST(JitSmoke, TinyArenaEvictionStorm)
     EXPECT_EQ(tiny.outputChecksum, big.outputChecksum);
 }
 
+TEST(JitSmoke, EvictionStormRecompilesSideTraces)
+{
+    if (!jitHostOk())
+        GTEST_SKIP() << "trace JIT unsupported on this host/build";
+    // Side traces live in the same arena as their roots: a reset
+    // strands the whole tree, and children recompile lazily on their
+    // next entry exactly like roots. Which arena generation compiled
+    // a child must not show in any deterministic counter, nor in the
+    // side-trace links taken.
+    SmokeRun big = steadyRun(PsrConfig::JitMode::On, 0, 1'000'000);
+    SmokeRun tiny =
+        steadyRun(PsrConfig::JitMode::On, 16 * 1024, 1'000'000);
+    ASSERT_GT(big.traces.sideFormed, 0u);
+    EXPECT_GT(big.traces.sideEntries, 0u);
+    EXPECT_GT(tiny.arenaGeneration, big.arenaGeneration);
+    EXPECT_GT(tiny.jit.compiledTraces, big.jit.compiledTraces);
+    EXPECT_EQ(std::memcmp(&tiny.stats, &big.stats, sizeof(VmStats)), 0);
+    EXPECT_EQ(tiny.traces.formed, big.traces.formed);
+    EXPECT_EQ(tiny.traces.sideFormed, big.traces.sideFormed);
+    EXPECT_EQ(tiny.traces.sideEntries, big.traces.sideEntries);
+    EXPECT_EQ(tiny.traces.sideExits, big.traces.sideExits);
+    EXPECT_EQ(tiny.outputChecksum, big.outputChecksum);
+}
+
 TEST(JitSmoke, NoExecFallbacksOnAnyWorkload)
 {
     // Every shape the workloads run on a trace has its own handler,
@@ -211,8 +241,10 @@ TEST(JitSmoke, NoExecFallbacksOnAnyWorkload)
 }
 
 /**
- * The emitted bytes of every trace the nine workloads form on both
- * ISAs, pinned. Traces form with the JIT off and compile against a
+ * The emitted bytes of every live trace the nine workloads form on
+ * both ISAs, side traces included, pinned in formation order. The
+ * hash moves with any change to which traces form, not only with
+ * code generation. Traces form with the JIT off and compile against a
  * fixed layout with fake helper addresses, so nothing here executes
  * generated code and the test runs on any host and in sanitizer
  * builds.
@@ -256,11 +288,9 @@ TEST(JitSmoke, EmittedCodePinned)
             (void)vm.run(1'000'000);
             const std::string label = name + "/" + isaName(isa);
             size_t here = 0;
-            for (const auto &blk : vm.codeCache().blocks()) {
-                if (blk->strace == nullptr)
-                    continue;
+            for (const auto &tr : vm.traceEngine().live()) {
                 jit::Emitter em;
-                const bool ok = jit::compileTrace(*blk->strace, lay, em);
+                const bool ok = jit::compileTrace(*tr, lay, em);
                 EXPECT_TRUE(ok) << label;
                 fold64(h, ok);
                 fold64(h, em.size());
@@ -273,7 +303,7 @@ TEST(JitSmoke, EmittedCodePinned)
         }
     }
     EXPECT_GT(traces, 50u);
-    EXPECT_EQ(h, 0xfb567f7a61da390bull) << traces << " traces";
+    EXPECT_EQ(h, 0x5f49eb6f3951c36bull) << traces << " traces";
 }
 
 TEST(JitSmoke, MovMR8EncodingPinned)

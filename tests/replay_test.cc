@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
@@ -437,13 +438,145 @@ TEST(Replay, JournalBytesPinned)
     opts.checkpointEveryRounds = 8;
     RecordResult rec = recordRun(httpdBin(), cfg, path, nullptr, opts);
     EXPECT_EQ(rec.checkpoints, 10u);
-    EXPECT_EQ(fileHash(path), 0x15f3d9d7171c37e7ull);
+    EXPECT_EQ(fileHash(path), 0x5b3eb57383ce9f97ull);
 
     FleetConfig fcfg = smallFleetConfig();
     fcfg.server.hipstr.psr.traceMode = tracesOn;
     path = tempPath("replay_pin_fleet.hjl");
     recordFleetRun(httpdBin(), fcfg, path);
     EXPECT_EQ(fileHash(path), 0x3a512e288bb5bb0full);
+}
+
+namespace
+{
+
+/** One journal record: its tag and payload bytes. */
+struct RawRecord
+{
+    uint8_t tag = 0;
+    std::vector<uint8_t> payload;
+};
+
+/** The header and records of the journal at @p path, undecoded. */
+std::pair<std::vector<uint8_t>, std::vector<RawRecord>>
+rawRecords(const std::string &path)
+{
+    const std::vector<uint8_t> bytes = slurp(path);
+    constexpr size_t kHeader = 8 + 4 + 8; // magic, version, configHash
+    EXPECT_GE(bytes.size(), kHeader);
+    std::vector<RawRecord> out;
+    size_t at = kHeader;
+    while (at + 5 <= bytes.size()) {
+        RawRecord rec;
+        rec.tag = bytes[at];
+        uint32_t len = 0;
+        for (int i = 0; i < 4; ++i)
+            len |= uint32_t(bytes[at + 1 + i]) << (8 * i);
+        at += 5;
+        EXPECT_LE(at + len, bytes.size());
+        rec.payload.assign(bytes.begin() + ptrdiff_t(at),
+                           bytes.begin() + ptrdiff_t(at + len));
+        at += len;
+        out.push_back(std::move(rec));
+    }
+    EXPECT_EQ(at, bytes.size());
+    return { std::vector<uint8_t>(bytes.begin(),
+                                  bytes.begin() + ptrdiff_t(kHeader)),
+             out };
+}
+
+/**
+ * Restore server checkpoint @p blob under @p cfg and save it again,
+ * with every VM's traceFollows folded into its chainFollows when
+ * @p fold_split is set. @p trace_follows accumulates the traceFollows
+ * seen.
+ */
+std::vector<uint8_t>
+resaveCheckpoint(const ServerConfig &cfg, const std::vector<uint8_t> &blob,
+                 bool fold_split, uint64_t &trace_follows)
+{
+    ProtectedServer srv(httpdBin(), cfg);
+    srv.beginRun();
+    ByteReader r(blob);
+    srv.loadCheckpoint(r);
+    EXPECT_TRUE(r.atEnd());
+    for (size_t i = 0; i < srv.workers().size(); ++i) {
+        for (IsaKind isa : kAllIsas) {
+            VmStats &st = srv.worker(i).runtime().vm(isa).stats;
+            trace_follows += st.traceFollows;
+            if (fold_split) {
+                st.chainFollows += st.traceFollows;
+                st.traceFollows = 0;
+            }
+        }
+    }
+    ByteWriter w;
+    srv.saveCheckpoint(w);
+    return w.data();
+}
+
+} // namespace
+
+// Superblock traces change how a run's block-to-block transfers split
+// between chainFollows and traceFollows, and nothing else: recorded
+// with traces on and off, the pinned server run journals the same
+// records, and the checkpoints differ only in that split — folding
+// traceFollows into chainFollows makes them byte-identical. This is
+// what licenses re-pinning JournalBytesPinned when a trace-formation
+// change moves the split.
+TEST(Replay, JournalDiffersOnlyInTraceSplit)
+{
+    RecordOptions opts;
+    opts.checkpointEveryRounds = 8;
+    std::vector<ServerConfig> cfgs;
+    std::vector<std::pair<std::vector<uint8_t>, std::vector<RawRecord>>>
+        journals;
+    for (PsrConfig::TraceMode mode :
+         { PsrConfig::TraceMode::On, PsrConfig::TraceMode::Off }) {
+        ServerConfig cfg = chaosConfig();
+        cfg.hipstr.psr.traceMode = mode;
+        const std::string path = tempPath("replay_split.hjl");
+        recordRun(httpdBin(), cfg, path, nullptr, opts);
+        cfgs.push_back(cfg);
+        journals.push_back(rawRecords(path));
+    }
+    const auto &[on_header, on] = journals[0];
+    const auto &[off_header, off] = journals[1];
+    EXPECT_EQ(on_header, off_header);
+    ASSERT_EQ(on.size(), off.size());
+
+    size_t checkpoints = 0;
+    uint64_t on_follows = 0, off_follows = 0;
+    for (size_t k = 0; k < on.size(); ++k) {
+        ASSERT_EQ(on[k].tag, off[k].tag) << "record " << k;
+        if (on[k].tag != uint8_t(RecordTag::Checkpoint)) {
+            EXPECT_EQ(on[k].payload, off[k].payload) << "record " << k;
+            continue;
+        }
+        ++checkpoints;
+        // Payload: round u64, image length u32, the server image.
+        constexpr ptrdiff_t kPrefix = 8 + 4;
+        const std::vector<uint8_t> on_image(
+            on[k].payload.begin() + kPrefix, on[k].payload.end());
+        const std::vector<uint8_t> off_image(
+            off[k].payload.begin() + kPrefix, off[k].payload.end());
+        EXPECT_TRUE(std::equal(on[k].payload.begin(),
+                               on[k].payload.begin() + kPrefix,
+                               off[k].payload.begin()))
+            << "record " << k;
+        // Restore + save is lossless, so the fold below is the only
+        // difference the comparison can hide.
+        uint64_t ignored = 0;
+        EXPECT_EQ(resaveCheckpoint(cfgs[0], on_image, false, ignored),
+                  on_image)
+            << "record " << k;
+        EXPECT_EQ(resaveCheckpoint(cfgs[0], on_image, true, on_follows),
+                  resaveCheckpoint(cfgs[1], off_image, true, off_follows))
+            << "checkpoint record " << k;
+    }
+    EXPECT_EQ(checkpoints, 10u);
+    EXPECT_GT(on_follows, 0u) << "traces never ran: the test is vacuous";
+    EXPECT_EQ(off_follows, 0u);
 }
 
 namespace

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -312,6 +314,274 @@ TEST(SuperblockSmoke, TinyCacheFlushHeavyStaysCorrect)
                       vm.traceStats().formed - vm.liveTraces())
                 << label;
         }
+    }
+}
+
+/**
+ * A counted loop whose body branches to a rare block one iteration in
+ * eight. The loop head forms a trace with that branch as a guard, so
+ * the rare block is reached only through the guard's side exit.
+ */
+IrModule
+rareBlockProgram(int32_t iters)
+{
+    IrModule m;
+    m.name = "rare_block";
+    IrBuilder b(m);
+    uint32_t main_fn = b.declareFunction("main", 0);
+    b.setEntry(main_fn);
+    b.beginFunction(main_fn);
+    ValueId acc = b.constI(0);
+    ValueId i = b.constI(0);
+    uint32_t hdr = b.newBlock(), rare = b.newBlock(),
+             cont = b.newBlock(), done = b.newBlock();
+    b.br(hdr);
+    b.setBlock(hdr);
+    b.assignBinop(IrOp::Add, acc, acc, b.mulI(i, 3));
+    b.condBrI(Cond::Eq, b.andI(i, 7), 7, rare, cont);
+    b.setBlock(rare);
+    b.assignBinop(IrOp::Xor, acc, acc, i);
+    b.br(cont);
+    b.setBlock(cont);
+    b.assignBinopI(IrOp::Add, i, i, 1);
+    b.condBrI(Cond::Lt, i, iters, hdr, done);
+    b.setBlock(done);
+    b.emitWriteWord(acc);
+    b.ret(acc);
+    b.endFunction();
+    return m;
+}
+
+/**
+ * Nested counted loops with a four-trip inner loop: the inner loop's
+ * back edge is dominant, so its trace falls through on one exit in
+ * four — a hot fall-through exit that roots a side trace.
+ */
+IrModule
+nestedLoopProgram(int32_t outer, int32_t inner)
+{
+    IrModule m;
+    m.name = "nested_loop";
+    IrBuilder b(m);
+    uint32_t main_fn = b.declareFunction("main", 0);
+    b.setEntry(main_fn);
+    b.beginFunction(main_fn);
+    ValueId acc = b.constI(0);
+    ValueId j = b.constI(0);
+    ValueId i = b.constI(0);
+    uint32_t ohdr = b.newBlock(), ihdr = b.newBlock(),
+             tail = b.newBlock(), done = b.newBlock();
+    b.br(ohdr);
+    b.setBlock(ohdr);
+    b.assignConst(i, 0);
+    b.br(ihdr);
+    b.setBlock(ihdr);
+    b.assignBinop(IrOp::Add, acc, acc, b.mul(i, j));
+    b.assignBinopI(IrOp::Add, i, i, 1);
+    b.condBrI(Cond::Lt, i, inner, ihdr, tail);
+    b.setBlock(tail);
+    b.assignBinop(IrOp::Xor, acc, acc, j);
+    b.assignBinopI(IrOp::Add, j, j, 1);
+    b.condBrI(Cond::Lt, j, outer, ohdr, done);
+    b.setBlock(done);
+    b.emitWriteWord(acc);
+    b.ret(acc);
+    b.endFunction();
+    return m;
+}
+
+/** Block-loop exit hits recorded on every exit of @p blk. */
+uint64_t
+exitHits(const TranslatedBlock &blk)
+{
+    uint64_t n = 0;
+    for (const BlockExit &e : blk.exits)
+        n += e.hitCount;
+    return n;
+}
+
+TEST(SuperblockSmoke, BlockReachedOnlyThroughATraceExitFormsATrace)
+{
+    // The block after a trace exit is an ordinary dispatch-loop entry:
+    // it bumps its hot count and may enter its own trace. Here the
+    // rare block is entered only right after the loop trace's guard
+    // exits, so it must still form a trace, and in the next warm
+    // slice it must run in that trace (its exits stop counting in the
+    // block loop) while the guard keeps firing.
+    FatBinary bin = compileModule(rareBlockProgram(1'000'000));
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = isaName(isa);
+        Memory mem;
+        loadFatBinary(bin, mem);
+        GuestOs os;
+        PsrConfig cfg;
+        cfg.traceMode = PsrConfig::TraceMode::On;
+        PsrVm vm(bin, isa, mem, os, cfg);
+        vm.reset();
+        ASSERT_EQ(vm.run(100'000).reason, VmStop::StepLimit) << label;
+
+        // The rare block: the target of the loop trace's guard.
+        TranslatedBlock *rare = nullptr;
+        for (const auto &blk : vm.codeCache().blocks()) {
+            if (blk->strace == nullptr || blk->strace->loopBack == false)
+                continue;
+            for (const TraceOp &op : blk->strace->ops) {
+                if (op.h != TraceH::JccGuard)
+                    continue;
+                const TranslatedBlock &owner =
+                    *blk->strace->segs[op.seg].blk;
+                const BlockExit &ex =
+                    owner.exits[static_cast<size_t>(op.ti->exitIdx)];
+                rare = vm.codeCache().lookup(ex.target);
+            }
+        }
+        ASSERT_NE(rare, nullptr) << label << ": no guarded loop trace";
+        EXPECT_NE(rare->strace, nullptr)
+            << label << ": the rare block never formed a trace (hot "
+            << rare->hotCount << ")";
+
+        const uint64_t side0 = vm.traceStats().sideExits;
+        const uint64_t hits0 = exitHits(*rare);
+        ASSERT_EQ(vm.run(100'000).reason, VmStop::StepLimit) << label;
+        EXPECT_GT(vm.traceStats().sideExits - side0, 1000u) << label;
+        EXPECT_EQ(exitHits(*rare), hits0)
+            << label << ": the rare block still runs in the block loop";
+    }
+}
+
+/** Run the nested-loop program to completion on one VM. */
+struct NestedRun
+{
+    VmStats stats;
+    TraceStats traces;
+    TierStats tiers;
+    uint32_t exitCode = 0;
+    uint64_t outputChecksum = 0;
+};
+
+NestedRun
+runNested(const FatBinary &bin, IsaKind isa, PsrConfig cfg,
+          const std::function<void(PsrVm &, GuestOs &, uint64_t)>
+              &each_slice = {})
+{
+    Memory mem;
+    loadFatBinary(bin, mem);
+    GuestOs os;
+    cfg.traceMode = PsrConfig::TraceMode::On;
+    PsrVm vm(bin, isa, mem, os, cfg);
+    vm.reset();
+    VmRunResult r;
+    for (uint64_t slice = 0;; ++slice) {
+        r = vm.run(50'000);
+        if (r.reason != VmStop::StepLimit)
+            break;
+        if (each_slice)
+            each_slice(vm, os, slice);
+    }
+    EXPECT_EQ(r.reason, VmStop::Exited) << vmStopName(r.reason);
+    NestedRun out;
+    out.stats = vm.stats;
+    out.traces = vm.traceStats();
+    out.tiers = vm.tierStats();
+    out.exitCode = os.exitCode();
+    out.outputChecksum = os.outputChecksum();
+    return out;
+}
+
+TEST(SuperblockSmoke, HotFallThroughExitGrowsASideTrace)
+{
+    // The inner loop trace falls through once per outer iteration.
+    // That exit must root a side trace, later fall-throughs must
+    // enter it directly, and the guest result must not move.
+    FatBinary bin = compileModule(nestedLoopProgram(20'000, 4));
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = isaName(isa);
+        auto native = test::runNative(bin, isa);
+        for (PsrConfig::JitMode jit :
+             { PsrConfig::JitMode::Off, PsrConfig::JitMode::On }) {
+            PsrConfig cfg;
+            cfg.jitMode = jit;
+            NestedRun r = runNested(bin, isa, cfg);
+            EXPECT_EQ(r.exitCode, native.exitCode) << label;
+            EXPECT_EQ(r.outputChecksum, native.outputChecksum) << label;
+            EXPECT_GE(r.traces.sideFormed, 1u) << label;
+            EXPECT_GT(r.traces.sideEntries, 10'000u) << label;
+            // Nearly every instruction retires in trace code; the
+            // block loop keeps the warm-up and the residual exits.
+            const uint64_t traced = r.tiers.traceInsts + r.tiers.jitInsts;
+            EXPECT_EQ(r.tiers.blockInsts + traced, r.stats.guestInsts)
+                << label;
+            EXPECT_GT(traced, 9 * r.tiers.blockInsts) << label;
+        }
+    }
+}
+
+TEST(SuperblockSmoke, FlushesRetireTheWholeTraceTree)
+{
+    // A code-cache flush mid-run, or a re-randomization with the
+    // program restarted (a respawn), retires every live trace, side
+    // traces included, and the tree regrows: the run still ends with
+    // the reference result.
+    FatBinary bin = compileModule(nestedLoopProgram(20'000, 4));
+    for (IsaKind isa : kAllIsas) {
+        auto native = test::runNative(bin, isa);
+        for (bool rerandomize : { false, true }) {
+            const std::string label = std::string(isaName(isa)) +
+                (rerandomize ? " reRandomize" : " flushTranslations");
+            size_t flushes = 0;
+            auto flush = [&](PsrVm &vm, GuestOs &os, uint64_t slice) {
+                if (slice % 3 != 2 || flushes == 3)
+                    return;
+                ASSERT_GT(vm.liveTraces(), 2u) << label;
+                ASSERT_EQ(vm.traceStats().sideFormed, flushes + 1)
+                    << label;
+                if (rerandomize) {
+                    vm.reRandomize();
+                    os.reset();
+                    vm.reset();
+                } else {
+                    vm.flushTranslations();
+                }
+                EXPECT_EQ(vm.liveTraces(), 0u) << label;
+                EXPECT_EQ(vm.traceStats().invalidated,
+                          vm.traceStats().formed)
+                    << label;
+                ++flushes;
+            };
+            NestedRun r = runNested(bin, isa, PsrConfig{}, flush);
+            EXPECT_EQ(flushes, 3u) << label;
+            EXPECT_EQ(r.traces.sideFormed, flushes + 1) << label;
+            EXPECT_EQ(r.exitCode, native.exitCode) << label;
+            EXPECT_EQ(r.outputChecksum, native.outputChecksum) << label;
+        }
+    }
+}
+
+TEST(SuperblockSmoke, ArenaEvictionStormKeepsSideTraceStats)
+{
+    // A tiny JIT arena resets over and over, stranding compiled side
+    // traces with their parents; they recompile lazily. Whichever
+    // engine runs them, every deterministic counter must match the
+    // roomy-arena run. (Without host JIT support both runs interpret
+    // and must agree trivially.)
+    FatBinary bin = compileModule(nestedLoopProgram(20'000, 4));
+    for (IsaKind isa : kAllIsas) {
+        const std::string label = isaName(isa);
+        PsrConfig roomy;
+        roomy.jitMode = PsrConfig::JitMode::On;
+        PsrConfig tiny = roomy;
+        tiny.jitArenaBytes = 4096;
+        NestedRun big = runNested(bin, isa, roomy);
+        NestedRun small = runNested(bin, isa, tiny);
+        EXPECT_EQ(std::memcmp(&big.stats, &small.stats, sizeof(VmStats)),
+                  0)
+            << label;
+        EXPECT_EQ(big.stats.traceFollows, small.stats.traceFollows)
+            << label;
+        EXPECT_EQ(big.traces.sideFormed, small.traces.sideFormed) << label;
+        EXPECT_EQ(big.traces.sideEntries, small.traces.sideEntries)
+            << label;
+        EXPECT_EQ(big.outputChecksum, small.outputChecksum) << label;
     }
 }
 
